@@ -18,6 +18,76 @@ pub struct ExactSolution {
     pub energy: f64,
     /// Number of optimal assignments (degeneracy).
     pub degeneracy: usize,
+    /// Gray-code steps actually taken (one proposal each): `2ⁿ − 1` for
+    /// a complete walk, fewer when a budget cut it.
+    pub proposals: u64,
+}
+
+/// The one Gray-code walk behind [`solve_exact_with_budget`] and
+/// [`spectrum`]. Built once per call: the off-diagonal couplings as a
+/// dense symmetric `n × n` matrix with row `i` contiguous and its
+/// diagonal zeroed, the linear terms as their own vector, and the
+/// current assignment as an `f64` 0/1 mask.
+///
+/// Each step sums `diag[i] + Σ_j row_i[j]·mask[j]` in increasing `j`
+/// with no branch. That adds the same nonzero terms, in the same order,
+/// as [`Qubo::delta_energy`]; every term it skips is an exact zero
+/// (`w·0.0` or the zeroed diagonal), and adding a zero never changes a
+/// sum that started at a `Qubo` coefficient, so every energy on the walk
+/// is bit-identical to the `delta_energy` walk. Coefficients are assumed
+/// finite (`∞·0` is NaN).
+struct GrayWalk {
+    n: usize,
+    rows: Vec<f64>,
+    diag: Vec<f64>,
+    mask: Vec<f64>,
+    energy: f64,
+}
+
+impl GrayWalk {
+    /// The walk's start: the all-false assignment at the QUBO's offset.
+    fn new(qubo: &Qubo) -> Self {
+        let n = qubo.n();
+        let mut rows = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                if j != i {
+                    rows[i * n + j] = qubo.get(i, j);
+                }
+            }
+        }
+        GrayWalk {
+            n,
+            rows,
+            diag: (0..n).map(|i| qubo.get(i, i)).collect(),
+            mask: vec![0.0; n],
+            energy: qubo.offset(),
+        }
+    }
+
+    /// Takes Gray-code step `k ≥ 1` — flips bit `trailing_zeros(k)` —
+    /// and returns the new energy. After step `k` the assignment is the
+    /// Gray code `k ^ (k >> 1)` (bit `i` = `xᵢ`).
+    #[inline]
+    fn step(&mut self, k: usize) -> f64 {
+        let i = k.trailing_zeros() as usize;
+        let row = &self.rows[i * self.n..(i + 1) * self.n];
+        let mut contrib = self.diag[i];
+        for (w, m) in row.iter().zip(&self.mask) {
+            contrib += w * m;
+        }
+        // +1 when xᵢ flips 0→1, −1 when it flips 1→0: an exact sign flip.
+        let sign = 1.0 - 2.0 * self.mask[i];
+        self.mask[i] = 1.0 - self.mask[i];
+        self.energy += sign * contrib;
+        self.energy
+    }
+}
+
+/// The assignment the Gray walk holds after step `k` (step 0 = start).
+fn gray_bits(k: usize, n: usize) -> Vec<bool> {
+    let g = k ^ (k >> 1);
+    (0..n).map(|i| g & (1 << i) != 0).collect()
 }
 
 /// Enumerates all assignments of a QUBO (`n ≤ 26`), using Gray-code
@@ -33,29 +103,26 @@ pub fn solve_exact(qubo: &Qubo) -> ExactSolution {
 /// steps. Returns the best-of-enumerated solution plus `true` when a
 /// bound cut the walk short — a cut walk's `energy`/`bits` are still
 /// exact for the prefix visited, but `degeneracy` only counts visited
-/// optima and the result may not be the global optimum.
+/// optima and the result may not be the global optimum. The solution's
+/// `proposals` counts the steps actually taken, however the walk ended.
 pub fn solve_exact_with_budget(qubo: &Qubo, budget: &Budget) -> (ExactSolution, bool) {
     let n = qubo.n();
     assert!(n <= 26, "exhaustive enumeration over {n} variables refused");
     assert!(n >= 1, "empty model");
     let mut meter = BudgetMeter::new(budget);
-    let mut x = vec![false; n];
-    let mut energy = qubo.energy(&x);
-    let mut best = energy;
-    let mut best_bits = x.clone();
+    let mut walk = GrayWalk::new(qubo);
+    let mut best = walk.energy;
+    let mut best_step = 0usize;
     let mut degeneracy = 1usize;
     let total = 1usize << n;
     for k in 1..total {
         if (k % EXACT_POLL_STRIDE == 0 && meter.interrupted()) || !meter.try_propose() {
             break;
         }
-        // Gray code: bit to flip is the trailing-zero count of k.
-        let i = k.trailing_zeros() as usize;
-        energy += qubo.delta_energy(&x, i);
-        x[i] = !x[i];
+        let energy = walk.step(k);
         if energy < best - 1e-12 {
             best = energy;
-            best_bits = x.clone();
+            best_step = k;
             degeneracy = 1;
         } else if (energy - best).abs() <= 1e-12 {
             degeneracy += 1;
@@ -63,9 +130,10 @@ pub fn solve_exact_with_budget(qubo: &Qubo, budget: &Budget) -> (ExactSolution, 
     }
     (
         ExactSolution {
-            bits: best_bits,
+            bits: gray_bits(best_step, n),
             energy: best,
             degeneracy,
+            proposals: meter.used(),
         },
         meter.exhausted(),
     )
@@ -80,16 +148,10 @@ pub fn spectrum(qubo: &Qubo) -> Vec<f64> {
     let n = qubo.n();
     assert!(n <= 16, "spectrum enumeration too large");
     let total = 1usize << n;
+    let mut walk = GrayWalk::new(qubo);
     let mut energies = Vec::with_capacity(total);
-    let mut x = vec![false; n];
-    let mut energy = qubo.energy(&x);
-    energies.push(energy);
-    for k in 1..total {
-        let i = k.trailing_zeros() as usize;
-        energy += qubo.delta_energy(&x, i);
-        x[i] = !x[i];
-        energies.push(energy);
-    }
+    energies.push(walk.energy);
+    energies.extend((1..total).map(|k| walk.step(k)));
     energies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     energies
 }
@@ -97,6 +159,114 @@ pub fn spectrum(qubo: &Qubo) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qmldb_math::{check, Rng64};
+
+    /// The walk as it was before [`GrayWalk`]: `Qubo::delta_energy` on a
+    /// `Vec<bool>` — the bit-for-bit oracle for the kernel.
+    fn oracle_exact(qubo: &Qubo, budget: &Budget) -> (ExactSolution, bool) {
+        let n = qubo.n();
+        let mut meter = BudgetMeter::new(budget);
+        let mut x = vec![false; n];
+        let mut energy = qubo.energy(&x);
+        let mut best = energy;
+        let mut best_bits = x.clone();
+        let mut degeneracy = 1usize;
+        for k in 1..(1usize << n) {
+            if (k % EXACT_POLL_STRIDE == 0 && meter.interrupted()) || !meter.try_propose() {
+                break;
+            }
+            let i = k.trailing_zeros() as usize;
+            energy += qubo.delta_energy(&x, i);
+            x[i] = !x[i];
+            if energy < best - 1e-12 {
+                best = energy;
+                best_bits = x.clone();
+                degeneracy = 1;
+            } else if (energy - best).abs() <= 1e-12 {
+                degeneracy += 1;
+            }
+        }
+        let solution = ExactSolution {
+            bits: best_bits,
+            energy: best,
+            degeneracy,
+            proposals: meter.used(),
+        };
+        (solution, meter.exhausted())
+    }
+
+    /// The `delta_energy` spectrum walk, the oracle for [`spectrum`].
+    fn oracle_spectrum(qubo: &Qubo) -> Vec<f64> {
+        let n = qubo.n();
+        let mut x = vec![false; n];
+        let mut energy = qubo.energy(&x);
+        let mut energies = vec![energy];
+        for k in 1..(1usize << n) {
+            let i = k.trailing_zeros() as usize;
+            energy += qubo.delta_energy(&x, i);
+            x[i] = !x[i];
+            energies.push(energy);
+        }
+        energies.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        energies
+    }
+
+    /// A seeded `n`-variable QUBO in one of three coefficient styles:
+    /// random reals, small integers (highly degenerate spectra), and
+    /// random reals with some variables' rows and columns all zero.
+    fn oracle_model(rng: &mut Rng64, n: usize, style: usize) -> Qubo {
+        let mut q = Qubo::new(n);
+        q.add_offset(rng.uniform_range(-1.0, 1.0));
+        let coeff = |rng: &mut Rng64| match style {
+            1 => rng.index(5) as f64 - 2.0,
+            _ => rng.uniform_range(-2.0, 2.0),
+        };
+        let silent: Vec<bool> = (0..n).map(|_| style == 2 && rng.chance(0.3)).collect();
+        for i in 0..n {
+            if !silent[i] {
+                q.add_linear(i, coeff(rng));
+            }
+            for j in (i + 1)..n {
+                if !silent[i] && !silent[j] && rng.chance(0.6) {
+                    q.add(i, j, coeff(rng));
+                }
+            }
+        }
+        q
+    }
+
+    #[test]
+    fn gray_kernel_matches_the_delta_energy_walk_bit_for_bit() {
+        check::cases("gray_kernel_matches_delta_energy_walk", 3, |rng| {
+            for n in 1..=16usize {
+                for style in 0..3 {
+                    let q = oracle_model(rng, n, style);
+                    let full = (1u64 << n) - 1;
+                    let caps = [
+                        None,
+                        Some(0),
+                        Some(1),
+                        Some(100),
+                        Some(full.saturating_sub(1)),
+                    ];
+                    for cap in caps {
+                        let budget = cap.map_or_else(Budget::unlimited, Budget::proposals);
+                        let (got, got_cut) = solve_exact_with_budget(&q, &budget);
+                        let (want, want_cut) = oracle_exact(&q, &budget);
+                        let case = format!("n={n} style={style} cap={cap:?}");
+                        assert_eq!(got.bits, want.bits, "{case}");
+                        assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "{case}");
+                        assert_eq!(got.degeneracy, want.degeneracy, "{case}");
+                        assert_eq!(got.proposals, want.proposals, "{case}");
+                        assert_eq!(got_cut, want_cut, "{case}");
+                    }
+                    let got: Vec<u64> = spectrum(&q).iter().map(|e| e.to_bits()).collect();
+                    let want: Vec<u64> = oracle_spectrum(&q).iter().map(|e| e.to_bits()).collect();
+                    assert_eq!(got, want, "spectrum n={n} style={style}");
+                }
+            }
+        });
+    }
 
     #[test]
     fn gray_code_enumeration_matches_direct() {
@@ -165,6 +335,7 @@ mod tests {
         let full = solve_exact(&q);
         let (roomy, roomy_cut) = solve_exact_with_budget(&q, &Budget::proposals(u64::MAX));
         assert_eq!(roomy, full);
+        assert_eq!(full.proposals, (1 << 10) - 1);
         assert!(!roomy_cut);
 
         // A 100-step bound enumerates exactly the first 101 assignments
@@ -174,6 +345,7 @@ mod tests {
         let (b, b_cut) = solve_exact_with_budget(&q, &Budget::proposals(100));
         assert!(a_cut && b_cut);
         assert_eq!(a, b);
+        assert_eq!(a.proposals, 100);
         assert!((q.energy(&a.bits) - a.energy).abs() < 1e-10);
         assert!(a.energy >= full.energy - 1e-12);
 
@@ -183,6 +355,7 @@ mod tests {
         token.cancel();
         let (cut, was_cut) = solve_exact_with_budget(&q, &Budget::proposals(0).with_cancel(token));
         assert!(was_cut);
+        assert_eq!(cut.proposals, 0);
         assert!(cut.bits.iter().all(|&b| !b));
     }
 

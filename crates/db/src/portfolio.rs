@@ -170,18 +170,9 @@ impl Solver {
             }
             Solver::ExactSpectrum => {
                 let (sol, cut) = solve_exact_with_budget(qubo, budget);
-                // The walk doesn't report its step count; reconstruct it
-                // from the bound (exact when the walk completed, the
-                // bound itself when the proposal cap cut it).
-                let full = (1u64 << qubo.n()) - 1;
-                let proposals = if cut {
-                    budget.proposal_limit().map_or(0, |l| l.min(full))
-                } else {
-                    full
-                };
                 Sample {
                     bits: sol.bits,
-                    proposals,
+                    proposals: sol.proposals,
                     exhausted: cut,
                 }
             }
@@ -681,6 +672,41 @@ mod tests {
         );
         assert_eq!(out.solver, "exact");
         assert!(!out.runs[0].repaired);
+    }
+
+    #[test]
+    fn exact_member_reports_the_steps_its_walk_took() {
+        use qmldb_anneal::CancelToken;
+        let m = MqoParams {
+            n_queries: 5,
+            plans_per: 3,
+            sharing_density: 0.6,
+        }
+        .generate(&mut Rng64::new(3027));
+        let n = m.n_vars();
+        // The walk polls deadline/cancel every 4096 steps, so an
+        // interrupted walk over ≥ 13 variables stops after 4095.
+        assert!(n >= 13, "{n} variables never reach a poll");
+        let p = Portfolio::single(Solver::ExactSpectrum);
+
+        // Unbudgeted: one complete walk.
+        let out = p.solve(&m, &mut Rng64::new(1));
+        assert_eq!(out.runs[0].penalty_doublings, 0);
+        assert_eq!(out.runs[0].proposals, (1u64 << n) - 1);
+
+        // Cancelled with no proposal cap: the walk stops at its first poll.
+        let token = CancelToken::new();
+        token.cancel();
+        let cancelled = Budget::unlimited().with_cancel(token);
+        let out = p.solve_with_budget(&m, &cancelled, &mut Rng64::new(1));
+        assert!(out.budget_exhausted);
+        assert_eq!(out.runs[0].proposals, 4095);
+
+        // An expired deadline cuts the walk long before a roomy cap.
+        let expired = Budget::deadline(Instant::now()).with_proposals(1 << 40);
+        let out = p.solve_with_budget(&m, &expired, &mut Rng64::new(1));
+        assert!(out.budget_exhausted);
+        assert_eq!(out.runs[0].proposals, 4095);
     }
 
     #[test]

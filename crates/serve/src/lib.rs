@@ -60,7 +60,7 @@ pub mod service;
 pub mod wire;
 
 pub use cache::{CacheCounters, LruCache};
-pub use request::{Reply, Request, ServeOutcome, Solution, WorkloadSpec};
+pub use request::{Reply, Request, ServeOutcome, Solution, WorkloadSpec, MAX_DEADLINE_MS};
 pub use server::{spawn, ServerHandle};
 pub use service::{Service, ServiceConfig, ServiceStats};
 pub use wire::Op;

@@ -229,6 +229,11 @@ impl WorkloadSpec {
     }
 }
 
+/// The longest deadline a request may carry: one day, in milliseconds.
+/// No client means a longer time box, and the ceiling keeps
+/// `arrival + deadline` far inside what `Instant` can represent.
+pub const MAX_DEADLINE_MS: f64 = 86_400_000.0;
+
 /// One optimization request: a workload plus the client's seed. The seed
 /// participates in the cache key, so clients that want independent solver
 /// randomness for the same model use distinct seeds, and clients that
@@ -251,22 +256,24 @@ pub struct Request {
 
 impl Request {
     /// Validates request-level fields (the workload validates itself
-    /// separately): a present deadline must be a finite, non-negative
-    /// number of milliseconds. Zero is legal — it means "already
+    /// separately): a present deadline must be a number of milliseconds
+    /// in `[0, MAX_DEADLINE_MS]`. Zero is legal — it means "already
     /// expired" and is answered [`Reply::Expired`] at admission.
     pub fn validate(&self) -> Result<(), String> {
         match self.deadline_ms {
-            Some(d) if d.is_nan() || d.is_infinite() || d < 0.0 => {
-                Err(format!("deadline_ms {d} must be finite and non-negative"))
-            }
+            Some(d) if !(0.0..=MAX_DEADLINE_MS).contains(&d) => Err(format!(
+                "deadline_ms {d} must be a number of milliseconds in [0, {MAX_DEADLINE_MS}]"
+            )),
             _ => Ok(()),
         }
     }
 
-    /// The absolute deadline for a request received at `arrival`.
+    /// The absolute deadline for a request received at `arrival`. A
+    /// deadline `Instant` cannot represent (only reachable by skipping
+    /// [`Request::validate`]) never arrives, so it is no deadline.
     pub(crate) fn deadline_at(&self, arrival: std::time::Instant) -> Option<std::time::Instant> {
-        self.deadline_ms
-            .map(|d| arrival + std::time::Duration::from_secs_f64(d / 1000.0))
+        let d = std::time::Duration::try_from_secs_f64(self.deadline_ms? / 1000.0).ok()?;
+        arrival.checked_add(d)
     }
 }
 
@@ -455,4 +462,48 @@ fn winning_run<'a, S>(
     runs.iter()
         .find(|r| r.solver == solver && r.objective == objective)
         .expect("portfolio outcome names one of its runs")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    fn with_deadline(deadline_ms: Option<f64>) -> Request {
+        Request {
+            workload: WorkloadSpec::TxSchedule {
+                n_tx: 2,
+                n_slots: 2,
+                conflicts: vec![(0, 1, 1.0)],
+                balance_weight: 0.25,
+            },
+            seed: 1,
+            deadline_ms,
+        }
+    }
+
+    #[test]
+    fn absurd_deadlines_are_rejected_and_never_overflow() {
+        for bad in [
+            -5.0,
+            f64::NAN,
+            f64::INFINITY,
+            MAX_DEADLINE_MS * 2.0,
+            1e25,
+            f64::MAX,
+        ] {
+            let req = with_deadline(Some(bad));
+            assert!(req.validate().is_err(), "deadline {bad}");
+            // Even unvalidated, the deadline arithmetic must not panic.
+            let _ = req.deadline_at(Instant::now());
+        }
+        for good in [0.0, 2_000.0, MAX_DEADLINE_MS] {
+            let req = with_deadline(Some(good));
+            assert!(req.validate().is_ok(), "deadline {good}");
+            let now = Instant::now();
+            let at = req.deadline_at(now).expect("representable deadline");
+            assert_eq!(at - now, Duration::from_secs_f64(good / 1000.0));
+        }
+        assert_eq!(with_deadline(None).deadline_at(Instant::now()), None);
+    }
 }

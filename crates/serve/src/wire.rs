@@ -17,7 +17,8 @@
 //! ```
 //!
 //! Any solve-shaped object may add `"deadline_ms":<number>` — a
-//! wall-clock budget in milliseconds from service receipt. Expired at
+//! wall-clock budget in milliseconds from service receipt, at most
+//! [`crate::MAX_DEADLINE_MS`] (one day; longer is a permanent error). Expired at
 //! admission → `{"status":"expired",...}`; expired mid-solve → the
 //! normal `ok` reply with `"degraded":true` and the best feasible
 //! answer found in time.

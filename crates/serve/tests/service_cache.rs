@@ -6,6 +6,7 @@ use qmldb_anneal::{SaParams, TabuParams};
 use qmldb_db::{Portfolio, Solver};
 use qmldb_serve::{
     spawn, Reply, Request, ServeOutcome, Service, ServiceConfig, Solution, WorkloadSpec,
+    MAX_DEADLINE_MS,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -437,14 +438,15 @@ fn expired_deadline_is_answered_without_solving() {
 #[test]
 fn invalid_deadlines_are_permanent_errors() {
     let mut service = Service::new(quick_config());
-    for bad in [-5.0, f64::NAN, f64::INFINITY] {
+    let bads = [-5.0, f64::NAN, f64::INFINITY, 1e25, MAX_DEADLINE_MS + 1.0];
+    for bad in bads {
         let mut req = four_workloads(36).remove(0);
         req.deadline_ms = Some(bad);
         let reply = service.submit(&req);
         assert!(matches!(reply, Reply::Error(_)), "deadline {bad}");
         assert!(!reply.retryable());
     }
-    assert_eq!(service.stats().errors, 3);
+    assert_eq!(service.stats().errors, bads.len() as u64);
 }
 
 #[test]
@@ -576,6 +578,38 @@ fn tcp_end_to_end_with_cache_and_stats() {
     line.clear();
     reader.read_line(&mut line).unwrap();
     assert!(line.contains("\"status\": \"error\""), "got: {line}");
+
+    handle.shutdown();
+}
+
+#[test]
+fn tcp_absurd_deadline_gets_an_error_and_the_server_keeps_answering() {
+    let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
+    let addr = handle.local_addr();
+
+    // A deadline too large for `Instant` arithmetic: an error reply for
+    // this request alone, not a panic under the service lock.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let absurd = "{\"op\":\"solve\",\"workload\":\"tx-schedule\",\"seed\":4,\
+                  \"n_tx\":5,\"n_slots\":2,\"conflicts\":[[0,1,2.0]],\
+                  \"balance_weight\":0.25,\"deadline_ms\":1e25}";
+    writeln!(writer, "{absurd}").unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"error\""), "got: {line}");
+    assert!(line.contains("deadline_ms"), "got: {line}");
+
+    // The service is still healthy for everyone else.
+    let stream2 = TcpStream::connect(addr).expect("connect 2");
+    let mut writer2 = stream2.try_clone().expect("clone 2");
+    let mut reader2 = BufReader::new(stream2);
+    writeln!(writer2, "{{\"op\":\"stats\"}}").unwrap();
+    line.clear();
+    reader2.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"stats\""), "got: {line}");
+    assert!(line.contains("\"errors\": 1"), "got: {line}");
 
     handle.shutdown();
 }
