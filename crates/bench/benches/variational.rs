@@ -183,6 +183,13 @@ fn main() {
         ("epochs".to_string(), Json::Num(cfg.epochs as f64)),
     ]));
     par::reset_threads();
+    // Timings are single-worker, but the host they ran on is part of the
+    // record.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    records.push(Json::Obj(vec![
+        ("name".to_string(), Json::Str("host".to_string())),
+        ("cores".to_string(), Json::Num(cores as f64)),
+    ]));
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
     merge_section(Path::new(out), "variational", records);

@@ -315,6 +315,61 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the bit patterns of `values`.
+    fn fingerprint(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+            v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        })
+    }
+
+    #[test]
+    fn adjoint_training_run_is_pinned_bit_for_bit() {
+        // The benchmark's training shape: 8 qubits, 2 layers, angle map,
+        // 24 samples in [0, π], 30 epochs. Any change to the simulator's
+        // kernels or the adjoint sweep that moves one rounding shows up
+        // here; the pinned value was recorded before the small-state
+        // kernels existed.
+        let mut rng = Rng64::new(1501);
+        let x: Vec<Vec<f64>> = (0..24)
+            .map(|_| {
+                (0..8)
+                    .map(|_| rng.uniform_range(0.0, std::f64::consts::PI))
+                    .collect()
+            })
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|xi| {
+                if xi[0].cos() + 0.5 * xi[1].cos() * xi[2].cos() >= 0.0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            })
+            .collect();
+        let cfg = VqcConfig {
+            n_qubits: 8,
+            layers: 2,
+            feature_map: FeatureMap::Angle,
+            epochs: 30,
+            lr: 0.1,
+            grad: GradMethod::ParameterShift,
+            reupload: false,
+        };
+        let model = Vqc::train(cfg, &x, &y, &mut rng);
+        assert_eq!(model.loss_history.len(), 30);
+        let mut bits = model.loss_history.clone();
+        bits.extend_from_slice(model.params());
+        assert_eq!(
+            fingerprint(&bits),
+            0xd711_62ee_eaa5_46a5,
+            "{:#x}",
+            fingerprint(&bits)
+        );
+    }
+
     #[test]
     #[should_panic(expected = "empty")]
     fn empty_training_panics() {

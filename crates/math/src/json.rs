@@ -12,6 +12,13 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive descent, so without a bound a line of 100 000 `[` overflows
+/// a 2 MiB thread stack and aborts the whole process — over the wire, one
+/// hostile line would take the server down for every client. 128 levels
+/// is far beyond any document the workspace writes or reads.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON value. Objects preserve insertion order (`Vec`, not a map) so
 /// emitted documents are deterministic.
 #[derive(Clone, Debug, PartialEq)]
@@ -164,11 +171,12 @@ impl Json {
     }
 
     /// Parses a JSON document (object, array, or scalar). Rejects trailing
-    /// garbage.
+    /// garbage and arrays/objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             at: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -201,6 +209,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,8 +244,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.bytes.get(self.at) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(&open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.at
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -435,6 +459,31 @@ mod tests {
         assert!(Json::parse("{\"a\": 1} extra").is_err());
         assert!(Json::parse("nulL").is_err());
         assert!(Json::parse("\"open").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_touching_the_stack_limit() {
+        let nested = |k: usize| format!("{}{}", "[".repeat(k), "]".repeat(k));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Objects count toward the same limit.
+        let obj = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&obj).is_err());
+        // A million unclosed brackets on a small-stack thread: an error,
+        // not a stack overflow.
+        let deep = "[".repeat(1_000_000);
+        let r = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || Json::parse(&deep).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(r);
     }
 
     #[test]

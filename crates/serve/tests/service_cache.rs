@@ -615,6 +615,34 @@ fn tcp_absurd_deadline_gets_an_error_and_the_server_keeps_answering() {
 }
 
 #[test]
+fn tcp_deeply_nested_line_gets_an_error_and_the_server_keeps_answering() {
+    let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
+    let addr = handle.local_addr();
+
+    // 100 000 open brackets: deep enough to overflow a connection
+    // thread's stack in an unbounded recursive-descent parser.
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    writeln!(writer, "{}", "[".repeat(100_000)).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"error\""), "got: {line}");
+    assert!(line.contains("nesting"), "got: {line}");
+
+    // The service is still healthy for everyone else.
+    let stream2 = TcpStream::connect(addr).expect("connect 2");
+    let mut writer2 = stream2.try_clone().expect("clone 2");
+    let mut reader2 = BufReader::new(stream2);
+    writeln!(writer2, "{{\"op\":\"stats\"}}").unwrap();
+    line.clear();
+    reader2.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"stats\""), "got: {line}");
+
+    handle.shutdown();
+}
+
+#[test]
 fn tcp_shutdown_op_stops_the_server() {
     let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
     let addr = handle.local_addr();

@@ -27,8 +27,23 @@
 //! [`crate::compile`]. Derivation sketch: `∂E/∂a = 2·Re⟨ψ_m|H·g_m…g_{j+1}
 //! (−i/2)(Π_c⊗G) |ψ_j⟩ = Im⟨λ_j|Π_c G|ψ_j⟩`, using that `H` and
 //! `Π_c⊗G` are Hermitian.
+//!
+//! The backward sweep is lowered once at construction into per-gate undo
+//! steps that reuse the compiled kernels: uncontrolled RZ undoes through
+//! the single-bit phase kernel fed the interpreter's factors `cis(∓θ/2)`,
+//! uncontrolled RY through the same real-coefficient kernel the forward
+//! pass runs, other RX/RY/U3 rotations through the dense 1q kernel on a
+//! stack matrix, and X/CX/CCX through a pair swap. None of these
+//! allocates; only the remaining gates fall back to
+//! [`StateVector::apply`]. Brackets of uncontrolled single-qubit
+//! generators (the RX/RY/RZ of a VQC ansatz) accumulate only the
+//! component of the sum they return. Each of these matches the
+//! interpreter walk bit for bit on every nonzero value, so values and
+//! gradients are unchanged (the bitwise oracle tests here and in
+//! [`crate::compile`] pin this; DESIGN.md has the argument).
 
 use crate::circuit::{Circuit, Instr};
+use crate::compile::{apply_1q, apply_flip, apply_phase, apply_ry, ry_coeffs, RotKind};
 use crate::gate::{Angle, Gate};
 use crate::pauli::{Pauli, PauliString, PauliSum};
 use crate::statevector::StateVector;
@@ -71,27 +86,109 @@ fn generator(instr: &Instr) -> Option<PauliString> {
     }
 }
 
+/// The backward step that undoes one forward instruction, lowered once.
+enum Undo {
+    /// Uncontrolled RZ(θ)†: the phase kernel with factors `cis(∓θ/2)`.
+    Rz { bit: usize, angle: Angle },
+    /// Uncontrolled RY(θ)†: the forward pass's real-coefficient kernel.
+    Ry { bit: usize, angle: Angle },
+    /// Any other (controlled) RX/RY/U3 dagger: the dense 1q kernel.
+    Rot1q {
+        bit: usize,
+        cmask: usize,
+        kind: RotKind,
+    },
+    /// (Multi-controlled) X: a pair swap.
+    Flip { bit: usize, cmask: usize },
+    /// Every other gate: the daggered instruction, interpreted.
+    Apply(Instr),
+}
+
+impl Undo {
+    fn new(instr: &Instr) -> Undo {
+        let gate = instr.gate.dagger();
+        let cmask = instr.controls.iter().fold(0usize, |m, &c| m | (1 << c));
+        let bit = 1usize << instr.targets[0];
+        match gate {
+            Gate::RZ(angle) if cmask == 0 => Undo::Rz { bit, angle },
+            Gate::RY(angle) if cmask == 0 => Undo::Ry { bit, angle },
+            Gate::RX(a) => Undo::Rot1q {
+                bit,
+                cmask,
+                kind: RotKind::Rx(a),
+            },
+            Gate::RY(a) => Undo::Rot1q {
+                bit,
+                cmask,
+                kind: RotKind::Ry(a),
+            },
+            Gate::U3(t, p, l) => Undo::Rot1q {
+                bit,
+                cmask,
+                kind: RotKind::U3(t, p, l),
+            },
+            Gate::X => Undo::Flip { bit, cmask },
+            gate => Undo::Apply(Instr {
+                gate,
+                controls: instr.controls.clone(),
+                targets: instr.targets.clone(),
+            }),
+        }
+    }
+
+    /// Pulls both sweep states back through the step; angles resolve once.
+    fn apply(&self, psi: &mut StateVector, lam: &mut StateVector, params: &[f64]) {
+        match self {
+            Undo::Rz { bit, angle } => {
+                // RZ's interpreter matrix is diag(cis(−θ/2), cis(θ/2)).
+                let th = angle.resolve(params) / 2.0;
+                let (f0, f1) = (C64::cis(-th), C64::cis(th));
+                apply_phase(psi.amplitudes_mut(), *bit, f0, f1);
+                apply_phase(lam.amplitudes_mut(), *bit, f0, f1);
+            }
+            Undo::Ry { bit, angle } => {
+                let (c, s) = ry_coeffs(angle.resolve(params));
+                apply_ry(psi.amplitudes_mut(), *bit, c, s);
+                apply_ry(lam.amplitudes_mut(), *bit, c, s);
+            }
+            Undo::Rot1q { bit, cmask, kind } => {
+                let m = kind.matrix(params);
+                apply_1q(psi.amplitudes_mut(), *bit, *cmask, &m);
+                apply_1q(lam.amplitudes_mut(), *bit, *cmask, &m);
+            }
+            Undo::Flip { bit, cmask } => {
+                apply_flip(psi.amplitudes_mut(), *bit, *cmask);
+                apply_flip(lam.amplitudes_mut(), *bit, *cmask);
+            }
+            Undo::Apply(instr) => {
+                psi.apply(instr, params);
+                lam.apply(instr, params);
+            }
+        }
+    }
+}
+
 /// Compile-once adjoint-mode gradient evaluator for ideal (pure-state)
 /// simulation.
 ///
-/// Construction scans the circuit for parameterized rotations and
-/// compiles the forward pass; [`AdjointGradient::value_and_gradient`]
-/// then returns `E(θ)` and the exact full gradient for the cost of one
-/// compiled run plus one backward per-gate sweep — `O(m·2^n)` total,
-/// instead of the shift rule's `O(k·m·2^n)`.
+/// Construction scans the circuit for parameterized rotations, compiles
+/// the forward pass and lowers the backward undo steps;
+/// [`AdjointGradient::value_and_gradient`] then returns `E(θ)` and the
+/// exact full gradient for the cost of one compiled run plus one backward
+/// per-gate sweep — `O(m·2^n)` total, instead of the shift rule's
+/// `O(k·m·2^n)`.
 pub struct AdjointGradient {
-    circuit: Circuit,
     compiled: CompiledCircuit,
-    /// Daggered instructions in reverse order (`inverse[k]` undoes
-    /// forward instruction `m−1−k`).
-    inverse: Vec<Instr>,
+    /// `undo[j]` pulls the sweep states back through instruction `j`.
+    undo: Vec<Undo>,
     /// Parameterized occurrences sorted by instruction position.
     occurrences: Vec<Occurrence>,
     base: usize,
 }
 
 impl AdjointGradient {
-    /// Scans `circuit` and compiles the forward pass.
+    /// Scans `circuit`, compiles the forward pass and lowers the backward
+    /// steps.
     ///
     /// # Panics
     /// Panics if a free parameter appears in a gate without a Pauli
@@ -130,11 +227,9 @@ impl AdjointGradient {
                 }
             }
         }
-        let inverse: Vec<Instr> = circuit.inverse().instrs().to_vec();
         AdjointGradient {
-            circuit: circuit.clone(),
             compiled: circuit.compile(),
-            inverse,
+            undo: circuit.instrs().iter().map(Undo::new).collect(),
             occurrences,
             base: circuit.n_params(),
         }
@@ -166,9 +261,8 @@ impl AdjointGradient {
         let value = psi.inner(&lam).re;
         let mut grad = vec![0.0f64; self.base];
         if let Some(first) = self.occurrences.first().map(|o| o.at) {
-            let m = self.circuit.instrs().len();
             let mut pending = self.occurrences.iter().rev().peekable();
-            for j in (first..m).rev() {
+            for j in (first..self.undo.len()).rev() {
                 if let Some(o) = pending.next_if(|o| o.at == j) {
                     grad[o.idx] += o.mult * bracket(&lam, &psi, o);
                 }
@@ -177,9 +271,7 @@ impl AdjointGradient {
                     // unwinding the state.
                     break;
                 }
-                let undo = &self.inverse[m - 1 - j];
-                psi.apply(undo, params);
-                lam.apply(undo, params);
+                self.undo[j].apply(&mut psi, &mut lam, params);
             }
         }
         (value, grad)
@@ -203,10 +295,24 @@ impl AdjointGradient {
 }
 
 /// `Im ⟨λ| Π_c G |ψ⟩` — the occurrence's generator bracket, with the
-/// control projector folded in as an index filter.
+/// control projector folded in as an index filter. Uncontrolled single-qubit generators take [`bracket_1q`].
 fn bracket(lam: &StateVector, psi: &StateVector, o: &Occurrence) -> f64 {
-    let la = lam.amplitudes();
-    let pa = psi.amplitudes();
+    let bit = o.flip | o.pmask;
+    if o.cmask == 0 && bit.is_power_of_two() {
+        bracket_1q(
+            lam.amplitudes(),
+            psi.amplitudes(),
+            bit,
+            o.flip != 0,
+            o.pmask != 0,
+        )
+    } else {
+        bracket_general(lam.amplitudes(), psi.amplitudes(), o)
+    }
+}
+
+/// [`bracket`] for any generator: one popcount sign per amplitude.
+fn bracket_general(la: &[C64], pa: &[C64], o: &Occurrence) -> f64 {
     let mut acc = C64::ZERO;
     for (i, l) in la.iter().enumerate() {
         if i & o.cmask != o.cmask {
@@ -217,6 +323,52 @@ fn bracket(lam: &StateVector, psi: &StateVector, o: &Occurrence) -> f64 {
         acc += (l.conj() * pa[j]).scale(sign);
     }
     (acc * o.global).im
+}
+
+/// [`bracket`] for an uncontrolled X (`flip`), Y (`flip` and `phase`) or
+/// Z (`phase`) generator on `bit`: sums exactly what the general loop
+/// sums, in the same index order, but only the component it returns —
+/// `(acc·1).im = acc.im` for X and Z, `(acc·i).im = acc.re` for Y.
+fn bracket_1q(la: &[C64], pa: &[C64], bit: usize, flip: bool, phase: bool) -> f64 {
+    // Im and Re of `conj(l)·p`, written as the complex product rounds
+    // them (`x + (−y)·z ≡ x − y·z` in IEEE arithmetic).
+    let im = |l: &C64, p: &C64| l.re * p.im - l.im * p.re;
+    let re = |l: &C64, p: &C64| l.re * p.re + l.im * p.im;
+    match (flip, phase) {
+        (true, true) => bracket_runs(la, pa, bit, true, -1.0, 1.0, re),
+        (true, false) => bracket_runs(la, pa, bit, true, 1.0, 1.0, im),
+        _ => bracket_runs(la, pa, bit, false, 1.0, -1.0, im),
+    }
+}
+
+/// The indices come in alternating runs of `bit` with the bit clear, then
+/// set, so the partner run (`i ^ flip`, swapped when `flip`) and the
+/// generator sign (`s0` on bit-clear runs, `s1` on bit-set runs) are fixed
+/// per run — one bit test per run instead of a popcount per amplitude.
+/// Multiplying by `±1.0` is exact, as in the general loop's `scale`.
+#[inline(always)]
+fn bracket_runs(
+    la: &[C64],
+    pa: &[C64],
+    bit: usize,
+    flip: bool,
+    s0: f64,
+    s1: f64,
+    part: impl Fn(&C64, &C64) -> f64,
+) -> f64 {
+    let mut acc = 0.0f64;
+    for (l, p) in la.chunks(2 * bit).zip(pa.chunks(2 * bit)) {
+        let (l0, l1) = l.split_at(bit);
+        let (p0, p1) = p.split_at(bit);
+        let (q0, q1) = if flip { (p1, p0) } else { (p0, p1) };
+        for (a, b) in l0.iter().zip(q0) {
+            acc += part(a, b) * s0;
+        }
+        for (a, b) in l1.iter().zip(q1) {
+            acc += part(a, b) * s1;
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -332,6 +484,135 @@ mod tests {
         let (e, g) = ag.value_and_gradient(&[], &h);
         assert!(g.is_empty());
         assert!((e - 1.0).abs() < 1e-12);
+    }
+
+    /// The backward walk as it ran before the undo steps were lowered:
+    /// every daggered instruction through the interpreter, every bracket
+    /// through the general popcount loop.
+    fn interpreter_walk(c: &Circuit, params: &[f64], h: &PauliSum) -> (f64, Vec<f64>) {
+        let ag = AdjointGradient::new(c);
+        let mut psi = ag.compiled.execute(params);
+        let mut lam = h.apply_to(&psi);
+        let value = psi.inner(&lam).re;
+        let inverse = c.inverse();
+        let m = c.len();
+        let mut grad = vec![0.0f64; c.n_params()];
+        for j in (0..m).rev() {
+            for o in ag.occurrences.iter().filter(|o| o.at == j) {
+                grad[o.idx] += o.mult * bracket_general(lam.amplitudes(), psi.amplitudes(), o);
+            }
+            let undo = &inverse.instrs()[m - 1 - j];
+            psi.apply(undo, params);
+            lam.apply(undo, params);
+        }
+        (value, grad)
+    }
+
+    /// A random circuit over every rotation family (free, affine or
+    /// constant angles, optionally controlled), X/CX/CCX, the two-qubit
+    /// rotations and a few constant gates for the fallback path.
+    fn random_circuit(rng: &mut qmldb_math::Rng64, n: usize) -> Circuit {
+        let mut c = Circuit::new(n);
+        c.new_params(3);
+        if rng.chance(0.5) {
+            for q in 0..n {
+                c.h(q);
+            }
+        }
+        let angle = |rng: &mut qmldb_math::Rng64| {
+            if rng.chance(0.25) {
+                Angle::Const(rng.uniform_range(-3.5, 3.5))
+            } else {
+                Angle::Param {
+                    idx: rng.index(3),
+                    mult: [1.0, -1.0, rng.uniform_range(-2.0, 2.0)][rng.index(3)],
+                    offset: [0.0, rng.uniform_range(-1.0, 1.0)][rng.index(2)],
+                }
+            }
+        };
+        for _ in 0..4 * n + 6 {
+            let t = rng.index(n);
+            let other = |rng: &mut qmldb_math::Rng64, taken: &[usize]| loop {
+                let q = rng.index(n);
+                if !taken.contains(&q) {
+                    return q;
+                }
+            };
+            let kind = rng.index(if n == 1 { 4 } else { 9 });
+            match kind {
+                0..=2 => {
+                    let a = angle(rng);
+                    let gate = [Gate::RX(a), Gate::RY(a), Gate::RZ(a)][kind].clone();
+                    c.push(gate, vec![], vec![t]);
+                }
+                3 => {
+                    match rng.index(4) {
+                        0 => c.x(t),
+                        1 => c.h(t),
+                        2 => c.t(t),
+                        _ => c.u3(t, 0.3, -1.1, 2.0),
+                    };
+                }
+                4 | 5 => {
+                    let ctl = other(rng, &[t]);
+                    let a = angle(rng);
+                    let gate = [Gate::RX(a), Gate::RY(a), Gate::RZ(a)][rng.index(3)].clone();
+                    c.push(gate, vec![ctl], vec![t]);
+                }
+                6 => {
+                    let ctl = other(rng, &[t]);
+                    if n >= 3 && rng.chance(0.5) {
+                        let ctl2 = other(rng, &[t, ctl]);
+                        c.ccx(ctl, ctl2, t);
+                    } else {
+                        c.cx(ctl, t);
+                    }
+                }
+                _ => {
+                    let u = other(rng, &[t]);
+                    let a = angle(rng);
+                    let gate = [Gate::RZZ(a), Gate::RXX(a), Gate::RYY(a)][rng.index(3)].clone();
+                    c.push(gate, vec![], vec![t, u]);
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn undo_steps_and_brackets_match_the_interpreter_walk_bitwise() {
+        qmldb_math::check::cases("adjoint_matches_interpreter_walk", 24, |rng| {
+            for n in 1..=10usize {
+                let c = random_circuit(rng, n);
+                let paulis = [Pauli::X, Pauli::Y, Pauli::Z];
+                let h = PauliSum::from_terms(
+                    (0..1 + rng.index(3))
+                        .map(|_| {
+                            let q = rng.index(n);
+                            let p = paulis[rng.index(3)];
+                            let string = if n > 1 && rng.chance(0.3) {
+                                let r = (q + 1 + rng.index(n - 1)) % n;
+                                PauliString::new(vec![(q, p), (r, paulis[rng.index(3)])])
+                            } else {
+                                PauliString::new(vec![(q, p)])
+                            };
+                            (rng.uniform_range(-1.0, 1.0), string)
+                        })
+                        .collect(),
+                );
+                let params = [
+                    rng.uniform_range(-3.0, 3.0),
+                    [0.0, -0.0, rng.uniform_range(-3.0, 3.0)][rng.index(3)],
+                    rng.uniform_range(-0.2, 0.2),
+                ];
+                let (value, grad) = AdjointGradient::new(&c).value_and_gradient(&params, &h);
+                let (want_value, want_grad) = interpreter_walk(&c, &params, &h);
+                assert_eq!(value.to_bits(), want_value.to_bits(), "n={n} value");
+                for (k, (g, w)) in grad.iter().zip(&want_grad).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "n={n} grad[{k}]: {g} vs {w}");
+                }
+            }
+        });
     }
 
     #[test]

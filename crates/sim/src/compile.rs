@@ -15,13 +15,17 @@
 //!    ops: diagonal gates (Z/S/T/P/RZ/RZZ and their controlled forms)
 //!    become phase terms, X/CX/CCX an amplitude-pair swap, SWAP an index
 //!    permutation, constant 1q/2q gates a cached `[C64; 4]`/`[C64; 16]`,
-//!    parameterized rotations a stack-built matrix. Nothing inside the run
-//!    loop allocates.
+//!    parameterized rotations a stack-built matrix — except uncontrolled
+//!    RY, which runs real-coefficient pair arithmetic (`apply_ry`).
+//!    Nothing inside the run loop allocates.
 //! 2. **Fusion** — adjacent uncontrolled 1q constant gates on the same
 //!    target collapse into one 2×2 matrix at compile time ("adjacent" up
 //!    to commuting past ops that touch other qubits), and maximal runs of
 //!    consecutive diagonal ops collapse into a *single* amplitude pass.
-//!    A QAOA cost layer of a hundred RZZ gates becomes one pass.
+//!    A QAOA cost layer of a hundred RZZ gates becomes one pass; a run of
+//!    one uncontrolled single-bit term (the lone RZ between the RY
+//!    rotations of a VQC ansatz) skips the table pass for a two-factor
+//!    phase multiply (`lone_phase_factors`) that rounds identically.
 //! 3. **Slab parallelism** — kernels run over disjoint contiguous
 //!    amplitude slabs via [`qmldb_math::par::for_slabs`]. A gate on target
 //!    bit `b` couples only index pairs `(i, i|b)`, which both live inside
@@ -29,6 +33,14 @@
 //!    involves no RNG and the per-amplitude arithmetic is identical for
 //!    any partition, so results are **bit-identical for any thread
 //!    count** — the PR 1 determinism contract holds by construction.
+//!
+//! The small-state kernels — the single-bit phase pass, the real RY
+//! kernel, the dense 1q kernel and the pair swap — also serve as the undo
+//! steps of the adjoint backward sweep ([`crate::adjoint`]), which
+//! therefore no longer interprets its RX/RY/RZ/CX daggers through
+//! [`StateVector::apply`]. Each produces the same bits as the path it
+//! replaced on every nonzero value; the bitwise oracle tests below pin
+//! that against the table pass and the complex 2×2 kernel.
 
 use crate::circuit::{Circuit, Instr};
 use crate::gate::{Angle, Gate};
@@ -133,14 +145,14 @@ struct ResolvedDiag {
 /// A parameterized single-qubit rotation whose 2×2 matrix is rebuilt on
 /// the stack each run.
 #[derive(Clone, Copy, Debug)]
-enum RotKind {
+pub(crate) enum RotKind {
     Rx(Angle),
     Ry(Angle),
     U3(Angle, Angle, Angle),
 }
 
 impl RotKind {
-    fn matrix(&self, params: &[f64]) -> [C64; 4] {
+    pub(crate) fn matrix(&self, params: &[f64]) -> [C64; 4] {
         match self {
             RotKind::Rx(t) => {
                 let th = t.resolve(params) / 2.0;
@@ -461,11 +473,18 @@ impl CompiledCircuit {
         for op in &self.ops {
             match op {
                 Op::Diag { start, end } => {
+                    let run = &self.terms[*start..*end];
+                    if let [t] = run {
+                        if t.cmask == 0 && t.sb as usize == self.n_qubits {
+                            let (f0, f1) = lone_phase_factors(&t.resolve(params));
+                            apply_phase(amps, 1usize << t.sa, f0, f1);
+                            continue;
+                        }
+                    }
                     // Resolve uncontrolled terms first: `apply_diag` fast-
                     // paths them and runs the (rare) controlled remainder
                     // as a gated second pass. Diagonal ops commute, so the
                     // reorder is exact.
-                    let run = &self.terms[*start..*end];
                     rdiag.clear();
                     rdiag.extend(
                         run.iter()
@@ -482,6 +501,14 @@ impl CompiledCircuit {
                 }
                 Op::Flip { bit, cmask } => apply_flip(amps, *bit, *cmask),
                 Op::Dense1q { bit, cmask, m } => apply_1q(amps, *bit, *cmask, m),
+                Op::Rot1q {
+                    bit,
+                    cmask: 0,
+                    kind: RotKind::Ry(a),
+                } => {
+                    let (c, s) = ry_coeffs(a.resolve(params));
+                    apply_ry(amps, *bit, c, s);
+                }
                 Op::Rot1q { bit, cmask, kind } => {
                     apply_1q(amps, *bit, *cmask, &kind.matrix(params))
                 }
@@ -941,6 +968,42 @@ fn apply_diag(amps: &mut [C64], terms: &[ResolvedDiag], n_plain: usize) {
     }
 }
 
+/// The two phase factors [`apply_diag`] would give a diagonal run made of
+/// one uncontrolled single-bit term: `(bit clear, bit set)`.
+///
+/// A lone term never lands in the pass-wide table (its sentinel bit `n`
+/// lies outside the low field), so the table pass multiplies each
+/// amplitude by `cis(0.0)·s_tab[lo]`, where `s_tab` is the block constant
+/// `cis(0.0 + even)` times the bit factors. On a low target bit the only
+/// non-trivial bit factor is `cis(0.0 + (odd − even))`; on a high one the
+/// block constant picks `even` or `odd` and every bit factor is
+/// `cis(0.0)`. Multiplying by `cis(0.0) = 1 + 0i` is exact (no factor
+/// here has a `−0.0` part), so these factors reproduce the table pass bit
+/// for bit — whereas writing `cis(∓θ/2)` directly would not.
+fn lone_phase_factors(t: &ResolvedDiag) -> (C64, C64) {
+    let clear = C64::cis(0.0 + t.even);
+    if (t.sa as usize) < DIAG_LO_BITS {
+        (clear, clear * C64::cis(0.0 + (t.odd - t.even)))
+    } else {
+        (clear, C64::cis(0.0 + t.odd))
+    }
+}
+
+/// Uncontrolled single-bit phase kernel: amplitudes with `bit` clear are
+/// multiplied by `f0`, those with it set by `f1`. Runs the lone-term
+/// diagonal op of the forward pass and the RZ undo step of the adjoint
+/// sweep (which feeds it the interpreter's `cis(∓θ/2)`).
+pub(crate) fn apply_phase(amps: &mut [C64], bit: usize, f0: C64, f1: C64) {
+    for_pair_halves(amps, bit, |_, h0, h1| {
+        for a in h0 {
+            *a *= f0;
+        }
+        for a in h1 {
+            *a *= f1;
+        }
+    });
+}
+
 /// Runs `f` over every matched (bit-clear, bit-set) half-block pair of a
 /// gate on target `bit`: `f(base, h0, h1)` where `h0[k]` (global index
 /// `base + k`, bit clear) is the amplitude-pair partner of `h1[k]`.
@@ -1083,7 +1146,7 @@ fn kernel_1q(h0: &mut [C64], h1: &mut [C64], m: &[C64; 4]) {
 }
 
 /// (Controlled) dense 1q kernel over pairs `(i, i|bit)`.
-fn apply_1q(amps: &mut [C64], bit: usize, cmask: usize, m: &[C64; 4]) {
+pub(crate) fn apply_1q(amps: &mut [C64], bit: usize, cmask: usize, m: &[C64; 4]) {
     if cmask == 0 {
         for_pair_halves(amps, bit, |_, h0, h1| kernel_1q(h0, h1, m));
     } else {
@@ -1099,8 +1162,35 @@ fn apply_1q(amps: &mut [C64], bit: usize, cmask: usize, m: &[C64; 4]) {
     }
 }
 
+/// `(cos, sin)` of `θ/2` — the real entries of `RY(θ)`, rounded exactly
+/// as [`Gate::matrix`] and [`RotKind::matrix`] round them.
+pub(crate) fn ry_coeffs(theta: f64) -> (f64, f64) {
+    let th = theta / 2.0;
+    (th.cos(), th.sin())
+}
+
+/// Uncontrolled `RY(θ)` as real-coefficient pair arithmetic:
+/// `a0' = c·a0 − s·a1`, `a1' = s·a0 + c·a1` on the real and imaginary
+/// parts separately, with `(c, s)` from [`ry_coeffs`].
+///
+/// Bit-identical to [`mat2_apply`] on the complex matrix
+/// `[c, −s; s, c]`: in IEEE arithmetic `x − (−y) ≡ x + y`, so the complex
+/// products of the real entries round exactly like the real ones, and the
+/// exact-zero imaginary entries only add signed zeros, which can change
+/// nothing but the sign of a zero result. One kernel serves the forward
+/// pass and the adjoint sweep's RY undo step.
+pub(crate) fn apply_ry(amps: &mut [C64], bit: usize, c: f64, s: f64) {
+    for_pair_halves(amps, bit, |_, h0, h1| {
+        for (a0, a1) in h0.iter_mut().zip(h1.iter_mut()) {
+            let (x, y) = (*a0, *a1);
+            *a0 = C64::new(c * x.re - s * y.re, c * x.im - s * y.im);
+            *a1 = C64::new(s * x.re + c * y.re, s * x.im + c * y.im);
+        }
+    });
+}
+
 /// (Multi-controlled) X kernel: swaps pairs `(i, i|bit)`.
-fn apply_flip(amps: &mut [C64], bit: usize, cmask: usize) {
+pub(crate) fn apply_flip(amps: &mut [C64], bit: usize, cmask: usize) {
     if cmask == 0 {
         for_pair_halves(amps, bit, |_, h0, h1| {
             for (a, b) in h0.iter_mut().zip(h1.iter_mut()) {
@@ -1366,6 +1456,128 @@ mod tests {
         let s = cc.execute(&[]);
         assert!((s.norm() - 1.0).abs() < 1e-10);
         assert_states_close(&s, &reference(&c, &[]), 1e-10);
+    }
+
+    /// `a` and `b` agree in every amplitude bit.
+    fn assert_bits_eq(a: &[C64], b: &[C64], what: &str) {
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{what}: amplitude {i} differs: {x:?} vs {y:?}"
+            );
+        }
+    }
+
+    /// Random amplitudes, an eighth of them exact zeros of either sign.
+    fn random_amps(rng: &mut qmldb_math::Rng64, n: usize) -> Vec<C64> {
+        (0..1usize << n)
+            .map(|_| match rng.index(16) {
+                0 => C64::ZERO,
+                1 => C64::new(-0.0, -0.0),
+                _ => C64::new(rng.uniform_range(-1.0, 1.0), rng.uniform_range(-1.0, 1.0)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lone_phase_kernel_matches_table_pass_bitwise() {
+        qmldb_math::check::cases("lone_phase_kernel_matches_table_pass", 3, |rng| {
+            for n in 1..=12usize {
+                let amps = random_amps(rng, n);
+                let angles = [
+                    0.0,
+                    -0.0,
+                    PI,
+                    -PI,
+                    rng.uniform_range(-7.0, 7.0),
+                    rng.uniform_range(-0.01, 0.01),
+                ];
+                for sa in 0..n as u32 {
+                    for (k, &a) in angles.iter().enumerate() {
+                        let b = angles[(k + 1) % angles.len()];
+                        let kinds = [
+                            DiagKind::Rot(Angle::Const(a)),
+                            DiagKind::Phase(Angle::Const(a)),
+                            DiagKind::Const {
+                                even: C64::cis(a),
+                                odd: C64::cis(b),
+                            },
+                        ];
+                        for kind in kinds {
+                            let term = DiagTerm {
+                                cmask: 0,
+                                sa,
+                                sb: n as u32,
+                                kind,
+                            }
+                            .resolve(&[]);
+                            let mut want = amps.clone();
+                            apply_diag(&mut want, &[term], 1);
+                            let mut got = amps.clone();
+                            let (f0, f1) = lone_phase_factors(&term);
+                            apply_phase(&mut got, 1 << sa, f0, f1);
+                            assert_bits_eq(&got, &want, &format!("n={n} bit={sa} {kind:?}"));
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn lone_phase_term_takes_the_phase_kernel_in_a_compiled_run() {
+        // A lone parameterized RZ between two RY rotations is its own
+        // one-term run; the compiled run must equal the table pass on it.
+        let mut c = Circuit::new(9);
+        let p = c.new_param();
+        for q in 0..9 {
+            c.h(q).ry(q, p).rz(q, p).ry(q, 0.4);
+        }
+        let cc = c.compile();
+        assert!(cc
+            .ops
+            .iter()
+            .all(|op| !matches!(op, Op::Diag { start, end } if end - start != 1)));
+        let params = [0.71];
+        let mut want = StateVector::zero(9);
+        for op in &cc.ops {
+            let amps = want.amplitudes_mut();
+            match op {
+                Op::Diag { start, .. } => apply_diag(amps, &[cc.terms[*start].resolve(&params)], 1),
+                Op::Dense1q { bit, cmask, m } => apply_1q(amps, *bit, *cmask, m),
+                Op::Rot1q { bit, cmask, kind } => {
+                    apply_1q(amps, *bit, *cmask, &kind.matrix(&params))
+                }
+                other => panic!("unexpected op {other:?}"),
+            }
+        }
+        let got = cc.execute(&params);
+        assert_bits_eq(got.amplitudes(), want.amplitudes(), "compiled run");
+    }
+
+    #[test]
+    fn real_ry_kernel_matches_complex_kernel_bitwise() {
+        qmldb_math::check::cases("real_ry_kernel_matches_complex_kernel", 4, |rng| {
+            for n in 1..=10usize {
+                // Nonzero parts: the two kernels may differ only in the
+                // sign of an exactly-zero result.
+                let amps: Vec<C64> = (0..1usize << n)
+                    .map(|_| C64::new(rng.uniform_range(-1.0, 1.0), rng.uniform_range(-1.0, 1.0)))
+                    .collect();
+                let thetas = [0.0, -0.0, PI, -PI, rng.uniform_range(-7.0, 7.0)];
+                for q in 0..n {
+                    for &theta in &thetas {
+                        let mut want = amps.clone();
+                        let m = RotKind::Ry(Angle::Const(theta)).matrix(&[]);
+                        apply_1q(&mut want, 1 << q, 0, &m);
+                        let mut got = amps.clone();
+                        let (c, s) = ry_coeffs(theta);
+                        apply_ry(&mut got, 1 << q, c, s);
+                        assert_bits_eq(&got, &want, &format!("n={n} q={q} θ={theta}"));
+                    }
+                }
+            }
+        });
     }
 
     #[test]
