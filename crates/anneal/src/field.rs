@@ -27,21 +27,8 @@ pub struct IsingFields {
 impl IsingFields {
     /// Computes all fields for state `s` in one O(n + m) pass.
     pub fn new(model: &Ising, s: &[i8]) -> Self {
-        assert_eq!(s.len(), model.n(), "spin count");
-        let adj = model.adjacency();
-        let f = model
-            .fields()
-            .iter()
-            .enumerate()
-            .map(|(i, &hi)| {
-                let mut fi = hi;
-                let (targets, weights) = adj.row(i);
-                for (&j, &w) in targets.iter().zip(weights) {
-                    fi += w * s[j as usize] as f64;
-                }
-                fi
-            })
-            .collect();
+        let mut f = vec![0.0; model.n()];
+        ising_fields_into(model, s, &mut f);
         IsingFields { f }
     }
 
@@ -54,7 +41,7 @@ impl IsingFields {
     /// Energy delta of flipping spin `i` — O(1): `ΔE = −2sᵢfᵢ`.
     #[inline]
     pub fn delta_flip(&self, s: &[i8], i: usize) -> f64 {
-        -2.0 * s[i] as f64 * self.f[i]
+        ising_delta(s[i], self.f[i])
     }
 
     /// Commits the flip of spin `i`: toggles `s[i]` and repairs the
@@ -62,12 +49,38 @@ impl IsingFields {
     /// self-coupling).
     #[inline]
     pub fn apply_flip(&mut self, model: &Ising, s: &mut [i8], i: usize) {
-        s[i] = -s[i];
-        let step = 2.0 * s[i] as f64;
-        let (targets, weights) = model.adjacency().row(i);
+        ising_flip(model, s, &mut self.f, i);
+    }
+}
+
+/// Writes the fields of state `s` into `f` — the body of
+/// [`IsingFields::new`], exposed for flat multi-replica stacks (SQA).
+pub(crate) fn ising_fields_into(model: &Ising, s: &[i8], f: &mut [f64]) {
+    assert_eq!(s.len(), model.n(), "spin count");
+    let adj = model.adjacency();
+    for (i, (fi, &hi)) in f.iter_mut().zip(model.fields()).enumerate() {
+        *fi = hi;
+        let (targets, weights) = adj.row(i);
         for (&j, &w) in targets.iter().zip(weights) {
-            self.f[j as usize] += step * w;
+            *fi += w * s[j as usize] as f64;
         }
+    }
+}
+
+/// `ΔE = −2sᵢfᵢ` — the body of [`IsingFields::delta_flip`].
+#[inline]
+pub(crate) fn ising_delta(si: i8, fi: f64) -> f64 {
+    -2.0 * si as f64 * fi
+}
+
+/// The body of [`IsingFields::apply_flip`] over one state/field slice pair.
+#[inline]
+pub(crate) fn ising_flip(model: &Ising, s: &mut [i8], f: &mut [f64], i: usize) {
+    s[i] = -s[i];
+    let step = 2.0 * s[i] as f64;
+    let (targets, weights) = model.adjacency().row(i);
+    for (&j, &w) in targets.iter().zip(weights) {
+        f[j as usize] += step * w;
     }
 }
 

@@ -32,6 +32,7 @@ pub mod embed;
 pub mod exact;
 pub mod field;
 pub mod ising;
+pub mod metropolis;
 pub mod partition;
 pub mod qubo;
 pub mod sa;
@@ -52,14 +53,22 @@ pub use embed::{Chimera, Embedding};
 pub use exact::{solve_exact, solve_exact_with_budget, ExactSolution};
 pub use field::{IsingFields, QuboFields};
 pub use ising::{bits_to_spins, spins_to_bits, Ising};
+pub use metropolis::Metropolis;
 pub use partition::{
     embedding_shard_budget, partition_graph, sharded_anneal, sharded_anneal_qubo,
     sharded_anneal_with_budget, Partition, ShardedParams, ShardedResult,
 };
 pub use qubo::Qubo;
-pub use sa::{simulated_annealing, simulated_annealing_with_budget, AnnealResult, SaParams};
+pub use sa::{
+    merge_restarts, sa_restart, simulated_annealing, simulated_annealing_with_budget, AnnealResult,
+    SaParams,
+};
 pub use sig::{fnv1a, qubo_signature, sparse_signature, split_signature, FNV_OFFSET};
 pub use sparse::SparseQubo;
-pub use sqa::{simulated_quantum_annealing, simulated_quantum_annealing_with_budget, SqaParams};
-pub use tabu::{tabu_search, tabu_search_with_budget, TabuParams, TabuResult};
+pub use sqa::{
+    simulated_quantum_annealing, simulated_quantum_annealing_with_budget, sqa_restart, SqaParams,
+};
+pub use tabu::{
+    merge_tabu_restarts, tabu_restart, tabu_search, tabu_search_with_budget, TabuParams, TabuResult,
+};
 pub use tempering::{parallel_tempering, parallel_tempering_with_budget, TemperingParams};

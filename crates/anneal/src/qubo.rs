@@ -67,6 +67,11 @@ impl Qubo {
         self.offset
     }
 
+    /// True when every coefficient and the offset are finite.
+    pub fn is_finite(&self) -> bool {
+        self.offset.is_finite() && self.coeff.iter().all(|c| c.is_finite())
+    }
+
     /// Adds to the constant offset.
     pub fn add_offset(&mut self, v: f64) {
         self.offset += v;

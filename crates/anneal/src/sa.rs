@@ -12,6 +12,7 @@
 use crate::budget::{Budget, BudgetMeter};
 use crate::field::IsingFields;
 use crate::ising::Ising;
+use crate::metropolis::Metropolis;
 use qmldb_math::{par, Rng64};
 
 /// Annealing schedule and effort parameters.
@@ -56,19 +57,10 @@ pub struct AnnealResult {
     pub exhausted: bool,
 }
 
-/// One restart's outcome, merged across restarts by the public entry
-/// points. Shared by the annealers in this crate.
-pub(crate) struct RestartOutcome {
-    pub spins: Vec<i8>,
-    pub energy: f64,
-    pub trace: Vec<f64>,
-    pub proposals: u64,
-    pub exhausted: bool,
-}
-
-/// Merges independent restart outcomes in restart order (first strict
-/// improvement wins, matching the serial loop's semantics).
-pub(crate) fn merge_restarts(runs: Vec<RestartOutcome>) -> AnnealResult {
+/// Merges independent restart results in restart order (first strict
+/// improvement wins, matching the serial loop's semantics). Shared by
+/// SA and SQA, and by callers that run restarts themselves.
+pub fn merge_restarts(runs: Vec<AnnealResult>) -> AnnealResult {
     let mut best_spins = Vec::new();
     let mut best_energy = f64::INFINITY;
     let mut best_trace = Vec::new();
@@ -113,58 +105,76 @@ pub fn simulated_annealing_with_budget(
     budget: &Budget,
     rng: &mut Rng64,
 ) -> AnnealResult {
+    let runs = par::map_indices_rng(params.restarts.max(1), rng, |idx, rng| {
+        sa_restart(model, params, budget, idx, rng)
+    });
+    merge_restarts(runs)
+}
+
+/// Restart `idx` of [`simulated_annealing_with_budget`], on the stream
+/// forked for it: the unit a caller fans out when it schedules restarts
+/// itself. Its proposal share is `BudgetMeter::for_unit(budget,
+/// restarts, idx)`; merge the restarts with [`merge_restarts`] in
+/// restart order.
+pub fn sa_restart(
+    model: &Ising,
+    params: &SaParams,
+    budget: &Budget,
+    idx: usize,
+    stream: &mut Rng64,
+) -> AnnealResult {
+    // Draw from a local copy of the stream: the hot loop then keeps the
+    // generator state in registers instead of storing it back per draw.
+    let mut rng = stream.clone();
     assert!(model.n() > 0, "empty model");
     assert!(params.sweeps > 0, "need at least one sweep");
     let scale = model.energy_scale();
     let t_start = params.t_start_factor * scale;
     let t_end = params.t_end_factor * scale;
     let cooling = (t_end / t_start).powf(1.0 / params.sweeps.max(2) as f64);
-    let restarts = params.restarts.max(1);
-
-    let runs = par::map_indices_rng(restarts, rng, |idx, rng| {
-        let mut meter = BudgetMeter::for_unit(budget, restarts, idx);
-        let sweeps = meter.sweep_cap(params.sweeps);
-        let mut s: Vec<i8> = (0..model.n())
-            .map(|_| if rng.chance(0.5) { 1 } else { -1 })
-            .collect();
-        let mut fields = IsingFields::new(model, &s);
-        let mut energy = model.energy(&s);
-        let mut run_best = energy;
-        let mut run_best_spins = s.clone();
-        let mut trace = Vec::with_capacity(sweeps);
-        let mut temp = t_start;
-        'anneal: for _ in 0..sweeps {
-            if meter.interrupted() {
+    let metropolis = Metropolis::get();
+    let mut meter = BudgetMeter::for_unit(budget, params.restarts.max(1), idx);
+    let sweeps = meter.sweep_cap(params.sweeps);
+    let mut s: Vec<i8> = (0..model.n())
+        .map(|_| if rng.chance(0.5) { 1 } else { -1 })
+        .collect();
+    let mut fields = IsingFields::new(model, &s);
+    let mut energy = model.energy(&s);
+    let mut run_best = energy;
+    let mut run_best_spins = s.clone();
+    let mut trace = Vec::with_capacity(sweeps);
+    let mut temp = t_start;
+    'anneal: for _ in 0..sweeps {
+        if meter.interrupted() {
+            break 'anneal;
+        }
+        for i in 0..model.n() {
+            if !meter.try_propose() {
                 break 'anneal;
             }
-            for i in 0..model.n() {
-                if !meter.try_propose() {
-                    break 'anneal;
-                }
-                let d = fields.delta_flip(&s, i);
-                if d <= 0.0 || rng.chance((-d / temp).exp()) {
-                    fields.apply_flip(model, &mut s, i);
-                    energy += d;
-                    if energy < run_best {
-                        run_best = energy;
-                        run_best_spins = s.clone();
-                    }
+            let d = fields.delta_flip(&s, i);
+            if metropolis.accept(d, temp, &mut rng) {
+                fields.apply_flip(model, &mut s, i);
+                energy += d;
+                if energy < run_best {
+                    run_best = energy;
+                    run_best_spins.copy_from_slice(&s);
                 }
             }
-            trace.push(run_best);
-            temp *= cooling;
         }
-        // The running energy accumulates one rounding per accepted flip;
-        // re-anchor the reported optimum to the exact energy of its spins.
-        RestartOutcome {
-            energy: model.energy(&run_best_spins),
-            spins: run_best_spins,
-            trace,
-            proposals: meter.used(),
-            exhausted: meter.exhausted(),
-        }
-    });
-    merge_restarts(runs)
+        trace.push(run_best);
+        temp *= cooling;
+    }
+    *stream = rng;
+    // The running energy accumulates one rounding per accepted flip;
+    // re-anchor the reported optimum to the exact energy of its spins.
+    AnnealResult {
+        energy: model.energy(&run_best_spins),
+        spins: run_best_spins,
+        trace,
+        proposals: meter.used(),
+        exhausted: meter.exhausted(),
+    }
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@
 //! physics behind Fig. 2 of the tutorial's source material.
 
 use crate::budget::{Budget, BudgetMeter};
-use crate::field::IsingFields;
+use crate::field::{ising_delta, ising_fields_into, ising_flip};
 use crate::ising::Ising;
-use crate::sa::{merge_restarts, AnnealResult, RestartOutcome};
+use crate::metropolis::Metropolis;
+use crate::sa::{merge_restarts, AnnealResult};
 use qmldb_math::{par, Rng64};
 
 /// SQA schedule parameters.
@@ -59,12 +60,37 @@ pub fn simulated_quantum_annealing(
 /// one replica-site update; the proposal bound is split exactly across
 /// restarts and each restart stops mid-sweep when its share is spent.
 /// Deadline/cancel are polled at sweep boundaries.
+///
+/// Restarts are independent Trotter-replica stacks; each runs on its own
+/// stream forked from `rng`, in parallel across `QMLDB_THREADS` workers,
+/// bit-identical for any thread count.
 pub fn simulated_quantum_annealing_with_budget(
     model: &Ising,
     params: &SqaParams,
     budget: &Budget,
     rng: &mut Rng64,
 ) -> AnnealResult {
+    let runs = par::map_indices_rng(params.restarts.max(1), rng, |idx, rng| {
+        sqa_restart(model, params, budget, idx, rng)
+    });
+    merge_restarts(runs)
+}
+
+/// Restart `idx` of [`simulated_quantum_annealing_with_budget`], on the
+/// stream forked for it: the unit a caller fans out when it schedules
+/// restarts itself. Its proposal share is `BudgetMeter::for_unit(budget,
+/// restarts, idx)`; merge the restarts with [`merge_restarts`] in
+/// restart order.
+pub fn sqa_restart(
+    model: &Ising,
+    params: &SqaParams,
+    budget: &Budget,
+    idx: usize,
+    stream: &mut Rng64,
+) -> AnnealResult {
+    // Draw from a local copy of the stream: the hot loop then keeps the
+    // generator state in registers instead of storing it back per draw.
+    let mut rng = stream.clone();
     let n = model.n();
     assert!(n > 0, "empty model");
     let p = params.replicas.max(2);
@@ -74,98 +100,97 @@ pub fn simulated_quantum_annealing_with_budget(
     let gamma_start = params.gamma_start_factor * scale;
     let gamma_end = params.gamma_end_factor * scale;
     let gamma_decay = (gamma_end / gamma_start).powf(1.0 / params.sweeps.max(2) as f64);
-    let restarts = params.restarts.max(1);
+    let metropolis = Metropolis::get();
+    let mut meter = BudgetMeter::for_unit(budget, params.restarts.max(1), idx);
+    // The replica stack is flat: spins[k·n + i] is spin i of Trotter
+    // slice k, and fields[k·n + i] is its cached local field.
+    let mut spins: Vec<i8> = (0..p * n)
+        .map(|_| if rng.chance(0.5) { 1 } else { -1 })
+        .collect();
+    let mut fields = vec![0.0; p * n];
+    for (s, f) in spins.chunks(n).zip(fields.chunks_mut(n)) {
+        ising_fields_into(model, s, f);
+    }
+    // One running classical energy per Trotter slice: a proposal's
+    // classical part is O(1), and tracking the best replica per sweep
+    // stops costing a full O(p·(n+m)) energy recomputation.
+    let mut energies: Vec<f64> = spins.chunks(n).map(|s| model.energy(s)).collect();
+    let mut run_best = f64::INFINITY;
+    let mut run_best_spins = spins[..n].to_vec();
+    let sweeps = meter.sweep_cap(params.sweeps);
+    let mut trace = Vec::with_capacity(sweeps);
+    let mut gamma = gamma_start;
+    let inv_p = 1.0 / p as f64;
+    let mut neighbours = vec![0i8; n];
 
-    // Restarts are independent Trotter-replica stacks; each runs on its
-    // own stream forked from `rng`, in parallel across `QMLDB_THREADS`
-    // workers, bit-identical for any thread count.
-    let runs = par::map_indices_rng(restarts, rng, |idx, rng| {
-        let mut meter = BudgetMeter::for_unit(budget, restarts, idx);
-        // replicas[k][i] = spin i of slice k.
-        let mut reps: Vec<Vec<i8>> = (0..p)
-            .map(|_| {
-                (0..n)
-                    .map(|_| if rng.chance(0.5) { 1 } else { -1 })
-                    .collect()
-            })
-            .collect();
-        // One local-field cache and one running classical energy per
-        // Trotter slice: a proposal's classical part is O(1), and tracking
-        // the best replica per sweep stops costing a full O(p·(n+m))
-        // energy recomputation.
-        let mut fields: Vec<IsingFields> =
-            reps.iter().map(|r| IsingFields::new(model, r)).collect();
-        let mut energies: Vec<f64> = reps.iter().map(|r| model.energy(r)).collect();
-        let mut run_best = f64::INFINITY;
-        let mut run_best_spins = reps[0].clone();
-        let sweeps = meter.sweep_cap(params.sweeps);
-        let mut trace = Vec::with_capacity(sweeps);
-        let mut gamma = gamma_start;
-        let inv_p = 1.0 / p as f64;
-
-        'anneal: for _ in 0..sweeps {
-            if meter.interrupted() {
-                break 'anneal;
-            }
-            // Inter-slice ferromagnetic coupling strength for this Γ,
-            // precomputed once per sweep (with the factor 2 of the flip
-            // delta folded in).
-            let j_perp = -(pt / 2.0) * (gamma / pt).tanh().ln();
-            let two_j_perp = 2.0 * j_perp;
-            for k in 0..p {
-                let up = (k + 1) % p;
-                let down = (k + p - 1) % p;
-                for i in 0..n {
-                    if !meter.try_propose() {
-                        break 'anneal;
-                    }
-                    // Classical part, scaled 1/P per Suzuki–Trotter.
-                    let d_model = fields[k].delta_flip(&reps[k], i);
-                    let d_classical = d_model * inv_p;
-                    // Inter-slice part: flipping s_{k,i} changes
-                    // -J⊥·s_{k,i}(s_{k+1,i}+s_{k-1,i}) by twice its value.
-                    let s_k = reps[k][i] as f64;
-                    let s_nb = (reps[up][i] + reps[down][i]) as f64;
-                    let d_quantum = two_j_perp * s_k * s_nb;
-                    let d = d_classical + d_quantum;
-                    if d <= 0.0 || rng.chance((-d / temp).exp()) {
-                        fields[k].apply_flip(model, &mut reps[k], i);
-                        energies[k] += d_model;
-                    }
-                }
-            }
-            // Track the best classical replica off the running energies.
-            for (k, r) in reps.iter().enumerate() {
-                if energies[k] < run_best {
-                    run_best = energies[k];
-                    run_best_spins = r.clone();
-                }
-            }
-            trace.push(run_best);
-            gamma *= gamma_decay;
+    'anneal: for _ in 0..sweeps {
+        if meter.interrupted() {
+            break 'anneal;
         }
-        // A run cut off before its first completed sweep never scanned
-        // the replicas; fall back to the best replica right now so the
-        // anytime contract still returns the work actually done.
-        if run_best.is_infinite() {
-            for (k, r) in reps.iter().enumerate() {
-                if energies[k] < run_best {
-                    run_best = energies[k];
-                    run_best_spins = r.clone();
+        // Inter-slice ferromagnetic coupling strength for this Γ,
+        // precomputed once per sweep (with the factor 2 of the flip
+        // delta folded in).
+        let j_perp = -(pt / 2.0) * (gamma / pt).tanh().ln();
+        let two_j_perp = 2.0 * j_perp;
+        for k in 0..p {
+            // Slices k ± 1 stay fixed while slice k is swept, so their
+            // spin sums are taken once per pass.
+            let (up, down) = ((k + 1) % p * n, (k + p - 1) % p * n);
+            for (i, nb) in neighbours.iter_mut().enumerate() {
+                *nb = spins[up + i] + spins[down + i];
+            }
+            let row = k * n..(k + 1) * n;
+            let (s_row, f_row) = (&mut spins[row.clone()], &mut fields[row]);
+            for i in 0..n {
+                if !meter.try_propose() {
+                    break 'anneal;
+                }
+                // Classical part, scaled 1/P per Suzuki–Trotter.
+                let d_model = ising_delta(s_row[i], f_row[i]);
+                let d_classical = d_model * inv_p;
+                // Inter-slice part: flipping s_{k,i} changes
+                // -J⊥·s_{k,i}(s_{k+1,i}+s_{k-1,i}) by twice its value.
+                let s_k = s_row[i] as f64;
+                let s_nb = neighbours[i] as f64;
+                let d_quantum = two_j_perp * s_k * s_nb;
+                let d = d_classical + d_quantum;
+                if metropolis.accept(d, temp, &mut rng) {
+                    ising_flip(model, s_row, f_row, i);
+                    energies[k] += d_model;
                 }
             }
         }
-        // Re-anchor the reported optimum to the exact energy of its spins
-        // (the running energies carry one rounding per accepted flip).
-        RestartOutcome {
-            energy: model.energy(&run_best_spins),
-            spins: run_best_spins,
-            trace,
-            proposals: meter.used(),
-            exhausted: meter.exhausted(),
+        // Track the best classical replica off the running energies.
+        for (k, &e) in energies.iter().enumerate() {
+            if e < run_best {
+                run_best = e;
+                run_best_spins.copy_from_slice(&spins[k * n..(k + 1) * n]);
+            }
         }
-    });
-    merge_restarts(runs)
+        trace.push(run_best);
+        gamma *= gamma_decay;
+    }
+    // A run cut off before its first completed sweep never scanned
+    // the replicas; fall back to the best replica right now so the
+    // anytime contract still returns the work actually done.
+    if run_best.is_infinite() {
+        for (k, &e) in energies.iter().enumerate() {
+            if e < run_best {
+                run_best = e;
+                run_best_spins.copy_from_slice(&spins[k * n..(k + 1) * n]);
+            }
+        }
+    }
+    *stream = rng;
+    // Re-anchor the reported optimum to the exact energy of its spins
+    // (the running energies carry one rounding per accepted flip).
+    AnnealResult {
+        energy: model.energy(&run_best_spins),
+        spins: run_best_spins,
+        trace,
+        proposals: meter.used(),
+        exhausted: meter.exhausted(),
+    }
 }
 
 #[cfg(test)]

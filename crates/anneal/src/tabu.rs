@@ -72,85 +72,27 @@ pub fn tabu_search_with_budget(
     budget: &Budget,
     rng: &mut Rng64,
 ) -> TabuResult {
-    let n = qubo.n();
-    assert!(n > 0, "empty model");
-    // One CSR snapshot of the QUBO's off-diagonal structure, shared by
-    // all restarts.
-    let adj = qubo.adjacency();
-    let restarts = params.restarts.max(1);
-
-    let runs = par::map_indices_rng(restarts, rng, |idx, rng| {
-        let mut meter = BudgetMeter::for_unit(budget, restarts, idx);
-        let iters = meter.sweep_cap(params.iters);
-        let mut flips = 0u64;
-        let mut x: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
-        let mut fields = QuboFields::new(qubo, &adj, &x);
-        // deltas[i] = cached energy change of flipping i, repaired only
-        // for the flipped variable's neighborhood after each move.
-        let mut deltas: Vec<f64> = (0..n).map(|i| fields.delta_flip(&x, i)).collect();
-        let mut energy = qubo.energy(&x);
-        let mut run_best = energy;
-        let mut run_best_bits = x.clone();
-        let mut tabu_until = vec![0usize; n];
-
-        for it in 1..=iters {
-            // A candidate scan reads all `n` cached deltas; refuse the
-            // whole iteration when the proposal share can't cover it.
-            if meter.interrupted() || !meter.try_consume(n as u64) {
-                break;
-            }
-            // Best admissible flip over the cached deltas.
-            let mut chosen: Option<(usize, f64)> = None;
-            for (i, &d) in deltas.iter().enumerate() {
-                let is_tabu = tabu_until[i] > it;
-                // Aspiration: a tabu move that yields a new global best is
-                // always allowed.
-                if is_tabu && energy + d >= run_best - 1e-15 {
-                    continue;
-                }
-                match chosen {
-                    Some((_, dbest)) if d >= dbest => {}
-                    _ => chosen = Some((i, d)),
-                }
-            }
-            let Some((i, d)) = chosen else { break };
-            fields.apply_flip(&adj, &mut x, i);
-            energy += d;
-            flips += 1;
-            tabu_until[i] = it + params.tenure;
-            // Repair the flipped variable's delta and its neighborhood's.
-            deltas[i] = fields.delta_flip(&x, i);
-            for (j, _) in adj.iter_row(i) {
-                deltas[j] = fields.delta_flip(&x, j);
-            }
-            if energy < run_best {
-                run_best = energy;
-                run_best_bits = x.clone();
-            }
-        }
-        // Re-anchor the reported optimum to the exact energy of its bits.
-        let run_best = qubo.energy(&run_best_bits);
-        (
-            run_best_bits,
-            run_best,
-            flips,
-            meter.used(),
-            meter.exhausted(),
-        )
+    let runs = par::map_indices_rng(params.restarts.max(1), rng, |idx, rng| {
+        tabu_restart(qubo, params, budget, idx, rng)
     });
+    merge_tabu_restarts(runs)
+}
 
+/// Merges restart results in restart order: flips and proposals add up,
+/// and the first strict improvement wins.
+pub fn merge_tabu_restarts(runs: Vec<TabuResult>) -> TabuResult {
     let mut best_bits = Vec::new();
     let mut best_energy = f64::INFINITY;
     let mut flips = 0u64;
     let mut proposals = 0u64;
     let mut exhausted = false;
-    for (bits, energy, run_flips, run_proposals, run_exhausted) in runs {
-        flips += run_flips;
-        proposals += run_proposals;
-        exhausted |= run_exhausted;
-        if energy < best_energy {
-            best_energy = energy;
-            best_bits = bits;
+    for run in runs {
+        flips += run.flips;
+        proposals += run.proposals;
+        exhausted |= run.exhausted;
+        if run.energy < best_energy {
+            best_energy = run.energy;
+            best_bits = run.bits;
         }
     }
     TabuResult {
@@ -159,6 +101,80 @@ pub fn tabu_search_with_budget(
         flips,
         proposals,
         exhausted,
+    }
+}
+
+/// Restart `idx` of [`tabu_search_with_budget`], on the stream forked
+/// for it: the unit a caller fans out when it schedules restarts itself.
+/// Its proposal share is `BudgetMeter::for_unit(budget, restarts, idx)`;
+/// merge the restarts with [`merge_tabu_restarts`] in restart order.
+pub fn tabu_restart(
+    qubo: &Qubo,
+    params: &TabuParams,
+    budget: &Budget,
+    idx: usize,
+    rng: &mut Rng64,
+) -> TabuResult {
+    let n = qubo.n();
+    assert!(n > 0, "empty model");
+    // The QUBO's CSR snapshot is built once per model and shared by all
+    // restarts.
+    let adj = qubo.adjacency();
+    let mut meter = BudgetMeter::for_unit(budget, params.restarts.max(1), idx);
+    let iters = meter.sweep_cap(params.iters);
+    let mut flips = 0u64;
+    let mut x: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
+    let mut fields = QuboFields::new(qubo, &adj, &x);
+    // deltas[i] = cached energy change of flipping i, repaired only
+    // for the flipped variable's neighborhood after each move.
+    let mut deltas: Vec<f64> = (0..n).map(|i| fields.delta_flip(&x, i)).collect();
+    let mut energy = qubo.energy(&x);
+    let mut run_best = energy;
+    let mut run_best_bits = x.clone();
+    let mut tabu_until = vec![0usize; n];
+
+    for it in 1..=iters {
+        // A candidate scan reads all `n` cached deltas; refuse the
+        // whole iteration when the proposal share can't cover it.
+        if meter.interrupted() || !meter.try_consume(n as u64) {
+            break;
+        }
+        // Best admissible flip over the cached deltas.
+        let mut chosen: Option<(usize, f64)> = None;
+        for (i, &d) in deltas.iter().enumerate() {
+            let is_tabu = tabu_until[i] > it;
+            // Aspiration: a tabu move that yields a new global best is
+            // always allowed.
+            if is_tabu && energy + d >= run_best - 1e-15 {
+                continue;
+            }
+            match chosen {
+                Some((_, dbest)) if d >= dbest => {}
+                _ => chosen = Some((i, d)),
+            }
+        }
+        let Some((i, d)) = chosen else { break };
+        fields.apply_flip(&adj, &mut x, i);
+        energy += d;
+        flips += 1;
+        tabu_until[i] = it + params.tenure;
+        // Repair the flipped variable's delta and its neighborhood's.
+        deltas[i] = fields.delta_flip(&x, i);
+        for (j, _) in adj.iter_row(i) {
+            deltas[j] = fields.delta_flip(&x, j);
+        }
+        if energy < run_best {
+            run_best = energy;
+            run_best_bits.copy_from_slice(&x);
+        }
+    }
+    // Re-anchor the reported optimum to the exact energy of its bits.
+    TabuResult {
+        energy: qubo.energy(&run_best_bits),
+        bits: run_best_bits,
+        flips,
+        proposals: meter.used(),
+        exhausted: meter.exhausted(),
     }
 }
 

@@ -1,0 +1,179 @@
+//! Bitwise oracle for the shared Metropolis test.
+//!
+//! [`Metropolis::decide`] must return exactly
+//! `d <= 0.0 || u < (-d / temp).exp()` for every input, because every
+//! annealer's output bits depend on it. These cases compare the two on
+//! seeded inputs and on the edges of the bracket argument in
+//! `qmldb_anneal::metropolis`: every grid point and its neighbouring
+//! ulps, the `x ≤ −38` cutoff, the extreme draws, and non-finite or
+//! degenerate `d` and `temp`.
+
+use qmldb_anneal::Metropolis;
+use qmldb_math::Rng64;
+
+/// The decision every annealer made before the bracket existed.
+fn oracle(d: f64, temp: f64, u: f64) -> bool {
+    d <= 0.0 || u < (-d / temp).exp()
+}
+
+/// Smallest and largest draws `Rng64::uniform` can return.
+const U_MIN: f64 = 0.0;
+const U_MAX: f64 = 1.0 - 1.0 / (1u64 << 53) as f64;
+
+/// The representable draw nearest below `p` (`k·2⁻⁵³ < p`) and the one at
+/// or above it, clamped to the draw range.
+fn draws_around(p: f64) -> [f64; 2] {
+    let scale = (1u64 << 53) as f64;
+    let k = (p * scale).ceil();
+    let below = ((k - 1.0).max(0.0) / scale).min(U_MAX);
+    let at = (k.max(0.0) / scale).min(U_MAX);
+    [below, at]
+}
+
+fn check(m: &Metropolis, d: f64, temp: f64, u: f64) {
+    assert_eq!(
+        m.decide(d, temp, u),
+        oracle(d, temp, u),
+        "d = {d:e} ({:#x}), temp = {temp:e}, u = {u:e}",
+        d.to_bits()
+    );
+}
+
+/// Checks `x = −d/temp` at `temp = 1` with draws spread over the whole
+/// range and packed around `exp(x)`.
+fn check_x(m: &Metropolis, x: f64, rng: &mut Rng64) {
+    let d = -x;
+    let p = x.exp();
+    let mut us = vec![U_MIN, U_MAX];
+    us.extend(draws_around(p));
+    for scale in [0.5, 0.9, 0.99, 0.999_999, 1.000_001, 1.01, 1.1, 2.0] {
+        us.extend(draws_around(p * scale));
+    }
+    for _ in 0..8 {
+        us.push(rng.uniform());
+    }
+    for u in us {
+        check(m, d, 1.0, u);
+    }
+}
+
+#[test]
+fn matches_the_exp_test_on_seeded_cases() {
+    let m = Metropolis::get();
+    let mut rng = Rng64::new(0x3e7a);
+    for _ in 0..200_000 {
+        let d = rng.uniform_range(-2.0, 60.0);
+        let temp = 10f64.powf(rng.uniform_range(-3.0, 1.0));
+        check(m, d, temp, rng.uniform());
+        // A draw placed close to the acceptance probability itself.
+        let p = (-d / temp).exp();
+        for u in draws_around(p * rng.uniform_range(0.98, 1.02)) {
+            check(m, d, temp, u);
+        }
+    }
+}
+
+#[test]
+fn matches_on_every_grid_point_and_its_neighbouring_ulps() {
+    let m = Metropolis::get();
+    let mut rng = Rng64::new(0x3e7b);
+    for c in 0..=38 * 16 {
+        let x = -(c as f64) / 16.0;
+        let up = f64::from_bits(x.to_bits() - 1); // toward zero (x ≤ 0)
+        let down = f64::from_bits(x.to_bits() + 1); // away from zero
+        for x in [x, up, down] {
+            if x.is_finite() && x <= 0.0 {
+                check_x(m, x, &mut rng);
+            }
+        }
+    }
+}
+
+#[test]
+fn matches_below_the_cutoff() {
+    let m = Metropolis::get();
+    let mut rng = Rng64::new(0x3e7c);
+    let below = f64::from_bits((-38.0f64).to_bits() + 1);
+    for x in [
+        -38.0,
+        below,
+        -38.5,
+        -40.0,
+        -100.0,
+        -700.0,
+        -745.0,
+        -745.2,
+        -746.0,
+        -1e6,
+        -f64::MAX,
+    ] {
+        check_x(m, x, &mut rng);
+        check(m, -x, 1.0, 0.0);
+    }
+}
+
+#[test]
+fn matches_on_degenerate_d_and_temp() {
+    let m = Metropolis::get();
+    let tiny = f64::from_bits(1); // smallest subnormal
+    let ds = [
+        0.0,
+        -0.0,
+        tiny,
+        -tiny,
+        f64::MIN_POSITIVE,
+        1e-300,
+        1.0,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -1.0,
+    ];
+    let temps = [
+        0.0,
+        -0.0,
+        tiny,
+        f64::MIN_POSITIVE,
+        1e-300,
+        1e-3,
+        1.0,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+        -1.0,
+        f64::NAN,
+    ];
+    let us = [U_MIN, 1e-17, 0.25, 0.5, 0.999, U_MAX];
+    for &d in &ds {
+        for &temp in &temps {
+            for &u in &us {
+                check(m, d, temp, u);
+            }
+        }
+    }
+}
+
+#[test]
+fn accept_draws_exactly_when_the_exp_test_did() {
+    // `accept` draws only for a `d` that is not `<= 0.0`, as
+    // `d <= 0.0 || rng.chance(..)` did: the streams must stay in step.
+    let m = Metropolis::get();
+    let mut a = Rng64::new(0x3e7d);
+    let mut b = Rng64::new(0x3e7d);
+    let mut gen = Rng64::new(0x3e7e);
+    for i in 0..50_000 {
+        let d = match i % 7 {
+            0 => 0.0,
+            1 => f64::NAN,
+            2 => -gen.uniform(),
+            _ => gen.uniform_range(-1.0, 8.0),
+        };
+        let temp = gen.uniform_range(0.05, 2.0);
+        let new = m.accept(d, temp, &mut a);
+        let old = d <= 0.0 || b.chance((-d / temp).exp());
+        assert_eq!(new, old, "step {i}: d = {d}, temp = {temp}");
+    }
+    assert_eq!(a.next_u64(), b.next_u64(), "streams drifted apart");
+}

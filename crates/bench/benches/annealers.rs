@@ -11,7 +11,7 @@ use qmldb_anneal::{
     parallel_tempering, sharded_anneal, simulated_annealing, simulated_quantum_annealing, Ising,
     Qubo, SaParams, ShardedParams, SparseQubo, SqaParams, TabuParams, TemperingParams,
 };
-use qmldb_bench::json::{merge_section, timing_record, Json};
+use qmldb_bench::json::{host_record, merge_section, timing_record, Json};
 use qmldb_bench::timing::{bench, group};
 use qmldb_math::{par, Rng64};
 use std::path::Path;
@@ -198,6 +198,9 @@ fn main() {
         &t,
         Some(200.0),
     ));
+    // These rows run at the default `par` width; the host is part of
+    // the record.
+    records.push(host_record());
 
     // The acceptance measurement: a 256-spin dense instance, 200 sweeps,
     // single-threaded, seed loop vs field-cache engine. Pinned to one

@@ -16,7 +16,7 @@
 use qmldb_anneal::{
     simulated_annealing, spins_to_bits, SaParams, SqaParams, TabuParams, TemperingParams,
 };
-use qmldb_bench::json::{merge_section, timing_record, Json};
+use qmldb_bench::json::{host_record, merge_section, timing_record, Json};
 use qmldb_bench::timing::{bench, group};
 use qmldb_db::instances::{IndexParams, InstanceGenerator, JoinOrderParams, MqoParams, TxParams};
 use qmldb_db::portfolio::{Portfolio, Solver};
@@ -210,6 +210,8 @@ fn main() {
     }
     .generate(&mut rng);
     case(&mut records, "full/txsched_4x3", &t4, &pf, 113);
+
+    records.push(host_record());
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_db.json");
     merge_section(Path::new(out), "db_portfolio", records);

@@ -31,6 +31,20 @@ pub fn timing_record(name: &str, t: &Timing, ops_per_iter: Option<f64>) -> Json 
     Json::Obj(fields)
 }
 
+/// The host a section's timings ran on: its available parallelism and
+/// the `par` width the bench used by default.
+pub fn host_record() -> Json {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Json::Obj(vec![
+        ("name".to_string(), Json::Str("host".to_string())),
+        ("available_parallelism".to_string(), Json::Num(cores as f64)),
+        (
+            "par_threads".to_string(),
+            Json::Num(qmldb_math::par::thread_count() as f64),
+        ),
+    ])
+}
+
 /// Merges `records` into `path` under `sections.<section>`, creating the
 /// file if absent and replacing only that section otherwise — so each
 /// bench binary owns one section of the shared artifact.

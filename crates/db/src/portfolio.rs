@@ -18,21 +18,48 @@
 //! [`SolverRun`] therefore carries a feasible solution — callers never
 //! tune penalties by hand and never see an infeasible answer.
 //!
+//! # One fan-out per round
+//!
+//! A solve runs in rounds. Round `r` is attempt `r` of every member that
+//! is still infeasible: all of them share one encoding at
+//! `auto_penalty · 2ʳ` (round 0 borrows the caller's, when it has one)
+//! and one `to_ising()` of it. Each round is cut into *units*: one per
+//! restart for SA, SQA and tabu, one for every other member. All units
+//! of a round go to the pool in a single [`par::map_uneven`], one job
+//! each, longest first by the proposal count the member's parameters
+//! imply (ties keep member order), so the long members start first and
+//! no member's restarts queue behind another member. Members merge
+//! their restarts in restart order, then feasibility, decode and repair
+//! run as for a single member.
+//!
 //! # Determinism
 //!
-//! Independent solver runs fan out over [`qmldb_math::par`]; one RNG
-//! stream is forked per portfolio member *serially, before dispatch*
-//! (including members inapplicable at this size, so streams don't shift
-//! when the problem grows), keeping results bit-identical for any
-//! `QMLDB_THREADS`.
+//! Nothing a unit computes depends on which thread runs it or when:
+//!
+//! * one stream is forked per portfolio member, in member order,
+//!   *serially, before any dispatch* — applicable or not, so streams
+//!   don't shift when the problem grows;
+//! * a restartable member forks its restart streams from its own
+//!   stream, in restart order, before each round's dispatch — the forks
+//!   the member's own `*_with_budget` entry would make; a single-unit
+//!   member runs on its stream directly and keeps it for its next round;
+//! * the proposal bound is split across the applicable members, and
+//!   each restart takes `BudgetMeter::for_unit(share, restarts, idx)` of
+//!   its member's attempt share, exactly as the member's own entry;
+//! * the unit order only decides which job starts first; every unit
+//!   writes its own slot, and merges run serially in restart order.
+//!
+//! So every stream, every budget share and every merge is the one a
+//! member-by-member solve would use, and the outcome is bit-identical
+//! to it for any `QMLDB_THREADS` (`tests/pinned.rs` pins it).
 
 use crate::problem::QuboProblem;
 use crate::search::grover_minimum;
 use qmldb_anneal::{
-    parallel_tempering_with_budget, sharded_anneal_with_budget, simulated_annealing_with_budget,
-    simulated_quantum_annealing_with_budget, solve_exact_with_budget, spins_to_bits,
-    tabu_search_with_budget, Budget, Constraints, Qubo, SaParams, ShardedParams, SqaParams,
-    TabuParams, TemperingParams,
+    merge_restarts, merge_tabu_restarts, parallel_tempering_with_budget, sa_restart,
+    sharded_anneal_with_budget, solve_exact_with_budget, spins_to_bits, sqa_restart, tabu_restart,
+    AnnealResult, Budget, Constraints, Ising, Qubo, SaParams, ShardedParams, SqaParams, TabuParams,
+    TabuResult, TemperingParams,
 };
 use qmldb_core::qaoa::Qaoa;
 use qmldb_math::{par, Rng64};
@@ -129,52 +156,97 @@ impl Solver {
         }
     }
 
-    /// Runs this solver on a QUBO under a [`Budget`] and returns the
-    /// sampled assignment plus its work accounting. The gate-model
-    /// bridges have no incremental work unit, so they report zero
-    /// proposals and honor the budget only by skipping entirely when it
-    /// is already interrupted.
-    fn sample(&self, qubo: &Qubo, budget: &Budget, rng: &mut Rng64) -> Sample {
+    /// Restarts this member splits into, one unit each; `None` for a
+    /// member that runs as a single unit.
+    fn restarts(&self) -> Option<usize> {
         match self {
-            Solver::Sa(p) => {
-                let r = simulated_annealing_with_budget(&qubo.to_ising(), p, budget, rng);
-                Sample {
-                    bits: spins_to_bits(&r.spins),
-                    proposals: r.proposals,
-                    exhausted: r.exhausted,
-                }
-            }
-            Solver::Sqa(p) => {
-                let r = simulated_quantum_annealing_with_budget(&qubo.to_ising(), p, budget, rng);
-                Sample {
-                    bits: spins_to_bits(&r.spins),
-                    proposals: r.proposals,
-                    exhausted: r.exhausted,
-                }
-            }
-            Solver::Tabu(p) => {
-                let r = tabu_search_with_budget(qubo, p, budget, rng);
-                Sample {
-                    bits: r.bits,
-                    proposals: r.proposals,
-                    exhausted: r.exhausted,
-                }
-            }
+            Solver::Sa(p) => Some(p.restarts.max(1)),
+            Solver::Sqa(p) => Some(p.restarts.max(1)),
+            Solver::Tabu(p) => Some(p.restarts.max(1)),
+            _ => None,
+        }
+    }
+
+    /// The proposal count one unit's parameters imply on `n` variables —
+    /// the longest-first dispatch key. Only the order of job starts
+    /// depends on it, never an output.
+    fn unit_cost(&self, n: usize) -> u64 {
+        let n = n as u64;
+        let states = 1u64.checked_shl(n as u32).unwrap_or(u64::MAX);
+        match self {
+            Solver::Sa(p) => n.saturating_mul(p.sweeps as u64),
+            Solver::Sqa(p) => n
+                .saturating_mul(p.replicas.max(2) as u64)
+                .saturating_mul(p.sweeps as u64),
+            Solver::Tabu(p) => n.saturating_mul(p.iters as u64),
+            Solver::Tempering(p) => n
+                .saturating_mul(p.chains.max(2) as u64)
+                .saturating_mul(p.sweeps as u64),
+            Solver::ExactSpectrum => states,
+            Solver::Qaoa {
+                layers,
+                iters,
+                restarts,
+                shots,
+            } => states
+                .saturating_mul(*layers as u64)
+                .saturating_mul((*iters * *restarts + *shots) as u64),
+            Solver::GroverMin { rounds } => states
+                .saturating_mul(1u64 << (n / 2).min(32))
+                .saturating_mul(*rounds as u64),
+            Solver::Sharded { params, .. } => n
+                .saturating_mul(params.rounds as u64)
+                .saturating_mul(params.sweeps_per_round as u64),
+        }
+    }
+
+    /// Whether this member samples the Ising form of the encoding.
+    fn needs_ising(&self) -> bool {
+        matches!(
+            self,
+            Solver::Sa(_)
+                | Solver::Sqa(_)
+                | Solver::Tempering(_)
+                | Solver::Qaoa { .. }
+                | Solver::Sharded { .. }
+        )
+    }
+
+    /// Runs unit `restart` of this member on one encoding under its
+    /// attempt [`Budget`]. The gate-model bridges have no incremental
+    /// work unit, so they report zero proposals and honor the budget
+    /// only by skipping entirely when it is already interrupted.
+    fn run_unit(
+        &self,
+        qubo: &Qubo,
+        ising: Option<&Ising>,
+        budget: &Budget,
+        restart: usize,
+        rng: &mut Rng64,
+    ) -> UnitOut {
+        let ising = || ising.expect("the round converts to Ising for this member");
+        match self {
+            Solver::Sa(p) => UnitOut::Restart(sa_restart(ising(), p, budget, restart, rng)),
+            Solver::Sqa(p) => UnitOut::Restart(sqa_restart(ising(), p, budget, restart, rng)),
+            Solver::Tabu(p) => UnitOut::TabuRestart(tabu_restart(qubo, p, budget, restart, rng)),
             Solver::Tempering(p) => {
-                let r = parallel_tempering_with_budget(&qubo.to_ising(), p, budget, rng);
-                Sample {
+                UnitOut::Whole(parallel_tempering_with_budget(ising(), p, budget, rng).into())
+            }
+            Solver::Sharded { params, .. } => {
+                let r = sharded_anneal_with_budget(ising(), params, budget, rng);
+                UnitOut::Whole(Sample {
                     bits: spins_to_bits(&r.spins),
                     proposals: r.proposals,
                     exhausted: r.exhausted,
-                }
+                })
             }
             Solver::ExactSpectrum => {
                 let (sol, cut) = solve_exact_with_budget(qubo, budget);
-                Sample {
+                UnitOut::Whole(Sample {
                     bits: sol.bits,
                     proposals: sol.proposals,
                     exhausted: cut,
-                }
+                })
             }
             Solver::Qaoa {
                 layers,
@@ -183,9 +255,9 @@ impl Solver {
                 shots,
             } => {
                 if budget.interrupted() {
-                    return Sample::skipped(qubo.n());
+                    return UnitOut::Whole(Sample::skipped(qubo.n()));
                 }
-                let ising = qubo.to_ising();
+                let ising = ising();
                 let q = Qaoa::from_ising(
                     qubo.n(),
                     ising.fields(),
@@ -194,32 +266,53 @@ impl Solver {
                     *layers,
                 );
                 let r = q.solve_spsa(*iters, *restarts, *shots, rng);
-                Sample {
+                UnitOut::Whole(Sample {
                     bits: (0..qubo.n())
                         .map(|i| r.best_bitstring & (1 << i) != 0)
                         .collect(),
                     proposals: 0,
                     exhausted: false,
-                }
+                })
             }
             Solver::GroverMin { rounds } => {
                 if budget.interrupted() {
-                    return Sample::skipped(qubo.n());
+                    return UnitOut::Whole(Sample::skipped(qubo.n()));
                 }
-                Sample {
+                UnitOut::Whole(Sample {
                     bits: grover_minimum(qubo, *rounds, rng).bits,
                     proposals: 0,
                     exhausted: false,
-                }
+                })
             }
-            Solver::Sharded { params, .. } => {
-                let r = sharded_anneal_with_budget(&qubo.to_ising(), params, budget, rng);
-                Sample {
-                    bits: spins_to_bits(&r.spins),
-                    proposals: r.proposals,
-                    exhausted: r.exhausted,
-                }
+        }
+    }
+}
+
+/// What one unit returns: one restart of a restartable member, or a
+/// single-unit member's whole sample.
+enum UnitOut {
+    Restart(AnnealResult),
+    TabuRestart(TabuResult),
+    Whole(Sample),
+}
+
+impl UnitOut {
+    /// One member's sample from its units, given in restart order:
+    /// restarts merge with the annealers' own merge.
+    fn merge(outs: Vec<UnitOut>) -> Sample {
+        let mut restarts = Vec::new();
+        let mut tabu_restarts = Vec::new();
+        for out in outs {
+            match out {
+                UnitOut::Restart(r) => restarts.push(r),
+                UnitOut::TabuRestart(r) => tabu_restarts.push(r),
+                UnitOut::Whole(sample) => return sample,
             }
+        }
+        if tabu_restarts.is_empty() {
+            merge_restarts(restarts).into()
+        } else {
+            merge_tabu_restarts(tabu_restarts).into()
         }
     }
 }
@@ -229,6 +322,26 @@ struct Sample {
     bits: Vec<bool>,
     proposals: u64,
     exhausted: bool,
+}
+
+impl From<AnnealResult> for Sample {
+    fn from(r: AnnealResult) -> Sample {
+        Sample {
+            bits: spins_to_bits(&r.spins),
+            proposals: r.proposals,
+            exhausted: r.exhausted,
+        }
+    }
+}
+
+impl From<TabuResult> for Sample {
+    fn from(r: TabuResult) -> Sample {
+        Sample {
+            bits: r.bits,
+            proposals: r.proposals,
+            exhausted: r.exhausted,
+        }
+    }
 }
 
 impl Sample {
@@ -265,8 +378,12 @@ pub struct SolverRun<S> {
     /// Delta-evaluations this member consumed across all escalation
     /// attempts (its share of the [`Budget`] proposal bound).
     pub proposals: u64,
-    /// Wall-clock seconds this member spent, escalation and repair
-    /// included. Measurement only — it never feeds back into control
+    /// Seconds this member spent: the sum of its units' times (one per
+    /// restart of SA, SQA and tabu, one otherwise) over every escalation
+    /// round, plus its merge, decode and repair time. The shared
+    /// encoding is not included, and units that ran side by side are
+    /// summed, so the members' times can add up to more than the solve's
+    /// wall clock. Measurement only — it never feeds back into control
     /// flow, so determinism is untouched.
     pub wall_time_s: f64,
     /// True when this member's budget share cut any of its attempts
@@ -449,45 +566,53 @@ impl Portfolio {
         P::Solution: Send,
     {
         let n = problem.n_vars();
+        let applicable = self.solvers.iter().filter(|s| s.applicable(n)).count();
         assert!(
-            self.solvers.iter().any(|s| s.applicable(n)),
+            applicable > 0,
             "no portfolio member can handle {n} variables"
         );
-        // The proposal bound is split across the members that will
-        // actually run, computed serially before dispatch (the split is
-        // a pure function of the member list, so it is thread-count
-        // invariant).
-        let mut next_applicable = 0usize;
-        let applicable_index: Vec<Option<usize>> = self
-            .solvers
-            .iter()
-            .map(|s| {
-                s.applicable(n).then(|| {
-                    next_applicable += 1;
-                    next_applicable - 1
-                })
-            })
-            .collect();
-        let member_budgets: Vec<Option<Budget>> = applicable_index
-            .iter()
-            .map(|slot| slot.map(|i| budget.split(next_applicable, i)))
-            .collect();
         // One stream per member — applicable or not, so adding variables
-        // never shifts a neighbour's stream.
-        let runs: Vec<Option<SolverRun<P::Solution>>> =
-            par::map_rng(&self.solvers, rng, |idx, solver, stream| {
-                member_budgets[idx].as_ref().map(|share| {
-                    run_one(
-                        problem,
-                        solver,
-                        self.max_penalty_doublings,
-                        pre,
-                        share,
-                        stream,
-                    )
-                })
-            });
-        let runs: Vec<SolverRun<P::Solution>> = runs.into_iter().flatten().collect();
+        // never shifts a neighbour's stream — and the proposal bound
+        // split across the members that will actually run. Both are
+        // serial and happen before any dispatch.
+        let mut members: Vec<Member<'_, P::Solution>> = Vec::with_capacity(applicable);
+        for solver in &self.solvers {
+            let stream = rng.fork();
+            if solver.applicable(n) {
+                members.push(Member {
+                    solver,
+                    budget: budget.split(applicable, members.len()),
+                    stream,
+                    proposals: 0,
+                    exhausted: false,
+                    wall_s: 0.0,
+                    doublings: 0,
+                    last: None,
+                    escalating: true,
+                    run: None,
+                });
+            }
+        }
+        let mut penalty = problem.auto_penalty();
+        for doubling in 0..=self.max_penalty_doublings {
+            let round: Vec<&mut Member<'_, P::Solution>> =
+                members.iter_mut().filter(|m| m.escalating).collect();
+            if round.is_empty() {
+                break;
+            }
+            let fresh;
+            let encoded = match pre {
+                Some(pair) if doubling == 0 => pair,
+                _ => {
+                    fresh = problem.encode_with_constraints(penalty);
+                    &fresh
+                }
+            };
+            solve_round(problem, round, encoded, doubling);
+            penalty *= 2.0;
+        }
+        let runs: Vec<SolverRun<P::Solution>> =
+            members.into_iter().map(|m| m.finish(problem)).collect();
         let best = runs
             .iter()
             .enumerate()
@@ -509,91 +634,167 @@ impl Portfolio {
     }
 }
 
-/// One solver through the penalty-escalation + repair loop. When `pre`
-/// holds the caller's `auto_penalty` encoding, the first attempt borrows
-/// it instead of re-encoding; retries at doubled penalties always encode
-/// fresh. The budget share carries across attempts — each retry solves
-/// under whatever proposals the earlier attempts left, and once the
-/// share is spent (or the deadline/cancel fires) escalation stops and
-/// the last sample is projected onto the feasible set, so a cut-short
-/// run still returns a feasible, exactly re-anchored solution.
-fn run_one<P: QuboProblem>(
-    problem: &P,
-    solver: &Solver,
-    max_doublings: usize,
-    pre: Option<&(Qubo, Constraints)>,
-    budget: &Budget,
-    rng: &mut Rng64,
-) -> SolverRun<P::Solution> {
-    let started = Instant::now();
-    let mut penalty = problem.auto_penalty();
-    let mut last_bits: Option<Vec<bool>> = None;
-    let mut last_constraints: Option<Constraints> = None;
-    let mut proposals = 0u64;
-    let mut exhausted = false;
-    let mut doublings_run = 0;
-    for doubling in 0..=max_doublings {
-        doublings_run = doubling;
-        let owned;
-        let (qubo, constraints): (&Qubo, &Constraints) = match pre {
-            Some(pair) if doubling == 0 => (&pair.0, &pair.1),
-            _ => {
-                owned = problem.encode_with_constraints(penalty);
-                (&owned.0, &owned.1)
-            }
-        };
-        let attempt_budget = match budget.proposal_limit() {
-            Some(limit) => budget
+/// One member's state across the escalation rounds of a solve.
+struct Member<'a, S> {
+    solver: &'a Solver,
+    /// The member's share of the solve budget.
+    budget: Budget,
+    /// The member's stream; restart streams fork from it each round.
+    stream: Rng64,
+    /// Proposals consumed by all attempts so far.
+    proposals: u64,
+    exhausted: bool,
+    /// Unit seconds plus decode and repair seconds.
+    wall_s: f64,
+    /// Index of the latest attempt.
+    doublings: usize,
+    /// The latest infeasible sample and the groups it violates.
+    last: Option<(Vec<bool>, usize)>,
+    /// Still infeasible with budget left: runs in the next round.
+    escalating: bool,
+    /// The finished run, once a sample was feasible.
+    run: Option<SolverRun<S>>,
+}
+
+impl<S> Member<'_, S> {
+    /// This attempt's budget: the member's share less what its earlier
+    /// attempts consumed.
+    fn attempt_budget(&self) -> Budget {
+        match self.budget.proposal_limit() {
+            Some(limit) => self
+                .budget
                 .clone()
-                .with_proposals(limit.saturating_sub(proposals)),
-            None => budget.clone(),
-        };
-        let sample = solver.sample(qubo, &attempt_budget, rng);
-        proposals += sample.proposals;
-        exhausted |= sample.exhausted;
+                .with_proposals(limit.saturating_sub(self.proposals)),
+            None => self.budget.clone(),
+        }
+    }
+
+    /// The member's run: its feasible sample, or else its last sample
+    /// projected onto the feasible set.
+    fn finish<P: QuboProblem<Solution = S>>(self, problem: &P) -> SolverRun<S> {
+        if let Some(run) = self.run {
+            return run;
+        }
+        let started = Instant::now();
+        let (raw, violated_groups) = self.last.expect("at least one attempt ran");
+        let repaired_bits = problem.repair(&raw);
+        debug_assert!(problem.is_feasible(&repaired_bits), "repair contract");
+        let solution = problem.decode(&repaired_bits);
+        let objective = problem.objective(&solution);
+        SolverRun {
+            solver: self.solver.name(),
+            solution,
+            objective,
+            penalty_doublings: self.doublings,
+            repaired: true,
+            violated_groups,
+            proposals: self.proposals,
+            wall_time_s: self.wall_s + started.elapsed().as_secs_f64(),
+            budget_exhausted: self.exhausted,
+        }
+    }
+}
+
+/// One unit of a round: restart `restart` of member `member` (0 for a
+/// single-unit member), on its own stream.
+struct Unit {
+    member: usize,
+    restart: usize,
+    cost: u64,
+    rng: Rng64,
+}
+
+/// Attempt `doubling` of every member in `round` on one shared
+/// encoding: one unit fan-out, then each member's merge and feasibility
+/// check. A feasible member gets its run; an infeasible one keeps its
+/// sample and escalates unless its budget is spent — escalating past a
+/// spent budget would just replay interrupted solves, so it goes to
+/// repair instead.
+fn solve_round<P: QuboProblem>(
+    problem: &P,
+    mut round: Vec<&mut Member<'_, P::Solution>>,
+    encoded: &(Qubo, Constraints),
+    doubling: usize,
+) {
+    let (qubo, constraints) = encoded;
+    let ising = round
+        .iter()
+        .any(|m| m.solver.needs_ising())
+        .then(|| qubo.to_ising());
+    let budgets: Vec<Budget> = round.iter().map(|m| m.attempt_budget()).collect();
+    let solvers: Vec<&Solver> = round.iter().map(|m| m.solver).collect();
+    // Streams fork serially in member order, restarts in restart order;
+    // a single-unit member lends its own stream to its unit.
+    let mut units = Vec::new();
+    for (member, m) in round.iter_mut().enumerate() {
+        let cost = m.solver.unit_cost(qubo.n());
+        match m.solver.restarts() {
+            Some(restarts) => units.extend((0..restarts).map(|restart| Unit {
+                member,
+                restart,
+                cost,
+                rng: m.stream.fork(),
+            })),
+            None => units.push(Unit {
+                member,
+                restart: 0,
+                cost,
+                rng: m.stream.clone(),
+            }),
+        }
+    }
+    // Longest first; the stable sort keeps ties in member order.
+    units.sort_by_key(|u| std::cmp::Reverse(u.cost));
+    let outs = par::map_uneven(&mut units, |_, u| {
+        let started = Instant::now();
+        let out = solvers[u.member].run_unit(
+            qubo,
+            ising.as_ref(),
+            &budgets[u.member],
+            u.restart,
+            &mut u.rng,
+        );
+        (out, started.elapsed().as_secs_f64())
+    });
+    let mut per_member: Vec<Vec<Option<UnitOut>>> = solvers
+        .iter()
+        .map(|s| (0..s.restarts().unwrap_or(1)).map(|_| None).collect())
+        .collect();
+    for (unit, (out, secs)) in units.into_iter().zip(outs) {
+        let m = &mut round[unit.member];
+        m.wall_s += secs;
+        if m.solver.restarts().is_none() {
+            m.stream = unit.rng;
+        }
+        per_member[unit.member][unit.restart] = Some(out);
+    }
+    for (m, outs) in round.into_iter().zip(per_member) {
+        let started = Instant::now();
+        let sample = UnitOut::merge(outs.into_iter().map(|o| o.expect("unit ran")).collect());
+        m.proposals += sample.proposals;
+        m.exhausted |= sample.exhausted;
+        m.doublings = doubling;
         if problem.is_feasible(&sample.bits) {
             let solution = problem.decode(&sample.bits);
             let objective = problem.objective(&solution);
-            return SolverRun {
-                solver: solver.name(),
+            m.run = Some(SolverRun {
+                solver: m.solver.name(),
                 solution,
                 objective,
                 penalty_doublings: doubling,
                 repaired: false,
                 violated_groups: 0,
-                proposals,
-                wall_time_s: started.elapsed().as_secs_f64(),
-                budget_exhausted: exhausted,
-            };
+                proposals: m.proposals,
+                wall_time_s: m.wall_s + started.elapsed().as_secs_f64(),
+                budget_exhausted: m.exhausted,
+            });
+            m.escalating = false;
+        } else {
+            let violated = constraints.n_violated(&sample.bits);
+            m.last = Some((sample.bits, violated));
+            m.escalating = !m.exhausted;
         }
-        last_bits = Some(sample.bits);
-        last_constraints = Some(constraints.clone());
-        penalty *= 2.0;
-        // Escalating past a spent budget would just replay interrupted
-        // solves; fall through to repair instead.
-        if exhausted {
-            break;
-        }
-    }
-    // Last resort: project the final sample onto the feasible set.
-    let raw = last_bits.expect("at least one attempt ran");
-    let violated_groups = last_constraints
-        .expect("constraints recorded")
-        .n_violated(&raw);
-    let repaired_bits = problem.repair(&raw);
-    debug_assert!(problem.is_feasible(&repaired_bits), "repair contract");
-    let solution = problem.decode(&repaired_bits);
-    let objective = problem.objective(&solution);
-    SolverRun {
-        solver: solver.name(),
-        solution,
-        objective,
-        penalty_doublings: doublings_run,
-        repaired: true,
-        violated_groups,
-        proposals,
-        wall_time_s: started.elapsed().as_secs_f64(),
-        budget_exhausted: exhausted,
+        m.wall_s += started.elapsed().as_secs_f64();
     }
 }
 

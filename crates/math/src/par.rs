@@ -233,51 +233,31 @@ where
         .collect()
 }
 
-/// Like [`map_rng`], but each work item is mutated in place (receiving
-/// `&mut T`) while also producing a result. This is the shape of
-/// replica-exchange sweeps: every chain advances its own state and fields
-/// without cloning, then a serial reduction inspects the per-chain
-/// results. The determinism contract is the same as [`map_rng`]'s —
-/// streams fork serially up front, and item `i` writes only itself and
-/// slot `i`.
-pub fn map_mut_rng<T, R, F>(items: &mut [T], rng: &mut Rng64, f: F) -> Vec<R>
+/// Maps `f` over a few coarse work items of uneven cost, one pool job per
+/// item, returning outputs in item order. Unlike [`map`], which cuts its
+/// items into one contiguous chunk per thread, every item here is its
+/// own job and idle executors claim the next unclaimed one, so a long
+/// item never holds shorter ones hostage behind it in a chunk. Jobs are
+/// claimed in item order: put the longest first. Each item is mutated in
+/// place and writes only its own output slot, so the outputs — and the
+/// items afterwards — are bit-identical for any thread count.
+pub fn map_uneven<T, R, F>(items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(usize, &mut T, &mut Rng64) -> R + Sync,
+    F: Fn(usize, &mut T) -> R + Sync,
 {
-    let mut streams: Vec<Rng64> = items.iter().map(|_| rng.fork()).collect();
-    let threads = thread_count().min(items.len()).max(1);
-    if threads == 1 {
-        return items
-            .iter_mut()
-            .zip(streams.iter_mut())
-            .enumerate()
-            .map(|(i, (x, r))| f(i, x, r))
-            .collect();
+    if thread_count() == 1 || items.len() <= 1 {
+        return items.iter_mut().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let chunk = items.len().div_ceil(threads);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     {
         let f = &f;
         let mut jobs: Vec<_> = items
-            .chunks_mut(chunk)
-            .zip(streams.chunks_mut(chunk))
-            .zip(out.chunks_mut(chunk))
+            .iter_mut()
+            .zip(out.iter_mut())
             .enumerate()
-            .map(|(ci, ((in_chunk, rng_chunk), out_chunk))| {
-                move || {
-                    let base = ci * chunk;
-                    for (k, ((item, r), slot)) in in_chunk
-                        .iter_mut()
-                        .zip(rng_chunk.iter_mut())
-                        .zip(out_chunk.iter_mut())
-                        .enumerate()
-                    {
-                        *slot = Some(f(base + k, item, r));
-                    }
-                }
-            })
+            .map(|(i, (item, slot))| move || *slot = Some(f(i, item)))
             .collect();
         fanout(&mut jobs);
     }
@@ -492,19 +472,26 @@ mod tests {
     }
 
     #[test]
-    fn map_mut_rng_is_thread_count_invariant_and_mutates_in_place() {
+    fn map_uneven_is_thread_count_invariant_and_mutates_in_place() {
         let run = |threads: usize| {
             with_threads(threads, || {
-                let mut items: Vec<u64> = (0..23).collect();
-                let mut rng = Rng64::new(77);
-                let results = map_mut_rng(&mut items, &mut rng, |i, x, r| {
-                    *x = x.wrapping_mul(3).wrapping_add(r.next_u64() ^ i as u64);
+                let mut items: Vec<(u64, Rng64)> =
+                    (0..7).map(|i| (i, Rng64::new(77 + i))).collect();
+                let results = map_uneven(&mut items, |i, (x, r)| {
+                    // Uneven items: item i draws 1000·i numbers.
+                    for _ in 0..1000 * i {
+                        *x = x.wrapping_mul(3).wrapping_add(r.next_u64());
+                    }
                     *x >> 7
                 });
-                (items, results, rng.next_u64())
+                let streams: Vec<u64> = items.iter_mut().map(|(_, r)| r.next_u64()).collect();
+                let values: Vec<u64> = items.iter().map(|(x, _)| *x).collect();
+                (values, results, streams)
             })
         };
-        assert_eq!(run(1), run(4));
+        let serial = run(1);
+        assert_eq!(serial, run(2));
+        assert_eq!(serial, run(4));
     }
 
     #[test]

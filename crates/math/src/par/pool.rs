@@ -35,7 +35,10 @@
 //! on jobs that some live thread (possibly itself) has already claimed.
 //!
 //! Workers are spawned lazily, one short of the largest fan-out width seen
-//! so far (the caller covers the last chunk), and never exit. Shrinking
+//! so far (the caller covers the last chunk), and never exit. A batch
+//! never spawns more than `par::thread_count() − 1` workers, however many
+//! jobs it holds: `par::map_uneven` hands the pool one job per coarse
+//! item, and its extra jobs wait for a free executor instead. Shrinking
 //! `par::set_threads` masks workers rather than retiring them: the chunk
 //! geometry callers build from [`super::thread_count`] is what bounds
 //! concurrency, and surplus workers just stay parked.
@@ -305,7 +308,10 @@ pub fn run(jobs: &mut [&mut (dyn FnMut() + Send + '_)]) {
     // moment the lock drops.
     {
         let mut st = lock(shared);
-        ensure_workers(&mut st, n - 1);
+        // The caller is one executor, so `thread_count() − 1` workers
+        // give the configured width. A batch with more jobs than that
+        // (`par::map_uneven`) queues the rest for whoever frees up first.
+        ensure_workers(&mut st, n.min(super::thread_count()) - 1);
         st.queue.push(BatchPtr(bp));
         shared.work_cv.notify_all();
     }

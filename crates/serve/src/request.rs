@@ -68,8 +68,12 @@ impl WorkloadSpec {
 
     /// Validates the spec against the constructor preconditions of the
     /// underlying problem type, so a malformed request becomes a
-    /// [`Reply::Error`] instead of a panic inside the service.
+    /// [`Reply::Error`] instead of a panic inside the service. Every
+    /// number must be finite: the wire parser reads `1e999` as `inf`.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.numbers().all(f64::is_finite) {
+            return Err(format!("{}: every number must be finite", self.tag()));
+        }
         match self {
             WorkloadSpec::JoinOrder {
                 cardinalities,
@@ -174,6 +178,54 @@ impl WorkloadSpec {
                 }
                 Ok(())
             }
+        }
+    }
+
+    /// Every floating-point number the spec carries.
+    fn numbers(&self) -> Box<dyn Iterator<Item = f64> + '_> {
+        match self {
+            WorkloadSpec::JoinOrder {
+                cardinalities,
+                edges,
+            } => Box::new(
+                cardinalities
+                    .iter()
+                    .copied()
+                    .chain(edges.iter().map(|e| e.2)),
+            ),
+            WorkloadSpec::Mqo {
+                plan_costs,
+                savings,
+            } => Box::new(
+                plan_costs
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .chain(savings.iter().map(|s| s.2)),
+            ),
+            WorkloadSpec::IndexSelection {
+                sizes,
+                benefits,
+                interactions,
+                budget,
+            } => Box::new(
+                sizes
+                    .iter()
+                    .chain(benefits)
+                    .copied()
+                    .chain(interactions.iter().map(|i| i.2))
+                    .chain(std::iter::once(*budget)),
+            ),
+            WorkloadSpec::TxSchedule {
+                conflicts,
+                balance_weight,
+                ..
+            } => Box::new(
+                conflicts
+                    .iter()
+                    .map(|c| c.2)
+                    .chain(std::iter::once(*balance_weight)),
+            ),
         }
     }
 

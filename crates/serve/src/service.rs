@@ -166,15 +166,7 @@ impl Service {
         self.requests += 1;
         let arrival = Instant::now();
         // Prepare.
-        let (problem, encoded, signature, key) = match (|| {
-            req.validate()?;
-            req.workload.validate()?;
-            let problem = req.workload.build();
-            let encoded = problem.encode();
-            let signature = problem.signature_of(&encoded);
-            let key = cache_key(signature, req.seed);
-            Ok::<_, String>((problem, encoded, signature, key))
-        })() {
+        let (problem, encoded, signature, key) = match prepare(req) {
             Ok(p) => p,
             Err(e) => {
                 self.errors += 1;
@@ -232,16 +224,7 @@ impl Service {
         let arrival = Instant::now();
 
         // Phase 1 — prepare (parallel, pure): problem + encoding + key.
-        type Prepared = Result<(BuiltProblem, (Qubo, Constraints), u64, u64), String>;
-        let prepared: Vec<Prepared> = par::map(requests, |_, req| {
-            req.validate()?;
-            req.workload.validate()?;
-            let problem = req.workload.build();
-            let encoded = problem.encode();
-            let signature = problem.signature_of(&encoded);
-            let key = cache_key(signature, req.seed);
-            Ok((problem, encoded, signature, key))
-        });
+        let prepared: Vec<Prepared> = par::map(requests, |_, req| prepare(req));
 
         // Phase 2 — admit (serial): deadline screen, cache probes,
         // coalescing, admission. One clock read screens the whole batch
@@ -372,6 +355,29 @@ impl Service {
             cache_entries: self.cache.len(),
         }
     }
+}
+
+/// A prepared request: its problem, `auto_penalty` encoding, signature
+/// and cache key.
+type Prepared = Result<(BuiltProblem, (Qubo, Constraints), u64, u64), String>;
+
+/// Phase 1 for one request: validate, build, encode once, sign. An
+/// encoding that overflows to a non-finite coefficient is refused here,
+/// as a permanent error, before any solver sees it.
+fn prepare(req: &Request) -> Prepared {
+    req.validate()?;
+    req.workload.validate()?;
+    let problem = req.workload.build();
+    let encoded = problem.encode();
+    if !encoded.0.is_finite() {
+        return Err(format!(
+            "{}: the penalty encoding overflows; scale the inputs down",
+            req.workload.tag()
+        ));
+    }
+    let signature = problem.signature_of(&encoded);
+    let key = cache_key(signature, req.seed);
+    Ok((problem, encoded, signature, key))
 }
 
 /// The budget a solve runs under: unlimited work, bounded by the

@@ -615,6 +615,56 @@ fn tcp_absurd_deadline_gets_an_error_and_the_server_keeps_answering() {
 }
 
 #[test]
+fn tcp_non_finite_or_overflowing_numbers_get_errors_and_the_server_keeps_answering() {
+    let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
+    let addr = handle.local_addr();
+
+    // The wire parser reads 1e999 as infinity; 1e308 is finite but
+    // overflows in the penalty encoding. Each used to panic inside the
+    // solve while the service lock was held, poisoning it for every
+    // connection. Each must get an error reply for itself alone.
+    let lines = [
+        "{\"op\":\"solve\",\"workload\":\"mqo\",\"seed\":1,\
+         \"plan_costs\":[[1e999,12],[8,9]],\"savings\":[]}",
+        "{\"op\":\"solve\",\"workload\":\"mqo\",\"seed\":1,\
+         \"plan_costs\":[[-1e999,12],[8,9]],\"savings\":[]}",
+        "{\"op\":\"solve\",\"workload\":\"join-order\",\"seed\":1,\
+         \"cardinalities\":[1e999,10,500],\"edges\":[[0,1,0.1],[1,2,0.05]]}",
+        "{\"op\":\"solve\",\"workload\":\"index-selection\",\"seed\":1,\
+         \"sizes\":[10,20],\"benefits\":[1e999,60],\"interactions\":[],\"budget\":25}",
+        "{\"op\":\"solve\",\"workload\":\"tx-schedule\",\"seed\":1,\
+         \"n_tx\":3,\"n_slots\":2,\"conflicts\":[[0,1,1e308]],\"balance_weight\":0.25}",
+    ];
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    for request in lines {
+        writeln!(writer, "{request}").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains("\"status\": \"error\""),
+            "{request} got: {line}"
+        );
+    }
+    assert!(line.contains("overflows"), "got: {line}");
+
+    // The service is still healthy for everyone else, with every error
+    // counted.
+    let stream2 = TcpStream::connect(addr).expect("connect 2");
+    let mut writer2 = stream2.try_clone().expect("clone 2");
+    let mut reader2 = BufReader::new(stream2);
+    writeln!(writer2, "{{\"op\":\"stats\"}}").unwrap();
+    line.clear();
+    reader2.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"stats\""), "got: {line}");
+    assert!(line.contains("\"errors\": 5"), "got: {line}");
+
+    handle.shutdown();
+}
+
+#[test]
 fn tcp_deeply_nested_line_gets_an_error_and_the_server_keeps_answering() {
     let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
     let addr = handle.local_addr();
