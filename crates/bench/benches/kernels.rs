@@ -5,7 +5,7 @@
 //! Emits the `kernels` section of `BENCH_sim.json` (entries/s and wall
 //! times) alongside the human-readable report lines.
 
-use qmldb_bench::json::{merge_section, timing_record, Json};
+use qmldb_bench::json::{host_record, merge_section, timing_record, Json};
 use qmldb_bench::timing::{bench, group};
 use qmldb_core::kernel::{FeatureMap, QuantumKernel};
 use qmldb_math::{par, Rng64};
@@ -129,6 +129,7 @@ fn main() {
 
     // Anchored to the workspace root: cargo bench runs with the package
     // directory as cwd, and the report belongs next to EXPERIMENTS.md.
+    records.push(host_record());
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
     merge_section(Path::new(out), "kernels", records);
 }

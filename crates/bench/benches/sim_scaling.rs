@@ -7,7 +7,7 @@
 //! times) alongside the human-readable report lines.
 
 use qmldb_bench::experiments::e01_sim_scaling::random_layered_circuit;
-use qmldb_bench::json::{merge_section, timing_record, Json};
+use qmldb_bench::json::{host_record, merge_section, timing_record, Json};
 use qmldb_bench::timing::{bench, group};
 use qmldb_math::{par, Rng64};
 use qmldb_sim::{Circuit, Simulator, StateVector};
@@ -104,6 +104,7 @@ fn main() {
 
     // Anchored to the workspace root: cargo bench runs with the package
     // directory as cwd, and the report belongs next to EXPERIMENTS.md.
+    records.push(host_record());
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sim.json");
     merge_section(Path::new(out), "sim_scaling", records);
 
@@ -139,6 +140,7 @@ fn main() {
             "{n}q: thread counts diverged bitwise"
         );
     }
+    grid.push(host_record());
     merge_section(Path::new(out), "threads_x_qubits", grid);
 
     // PR 9 acceptance — per-fan-out dispatch overhead, persistent pool vs
@@ -213,5 +215,6 @@ fn main() {
         );
     }
     par::reset_threads();
+    overhead.push(host_record());
     merge_section(Path::new(out), "dispatch_overhead", overhead);
 }

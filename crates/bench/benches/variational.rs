@@ -8,7 +8,7 @@
 //! (O(1) sweeps vs 2k runs; batched loss reuse vs recompute), and
 //! letting the new path fan out would flatter them.
 
-use qmldb_bench::json::{merge_section, timing_record, Json};
+use qmldb_bench::json::{host_record, merge_section, timing_record, Json};
 use qmldb_bench::timing::{bench, group};
 use qmldb_core::ansatz::{hardware_efficient, Entanglement};
 use qmldb_core::gradient::ShiftGradient;
@@ -182,14 +182,11 @@ fn main() {
         ("samples".to_string(), Json::Num(d.x.len() as f64)),
         ("epochs".to_string(), Json::Num(cfg.epochs as f64)),
     ]));
-    par::reset_threads();
     // Timings are single-worker, but the host they ran on is part of the
-    // record.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    records.push(Json::Obj(vec![
-        ("name".to_string(), Json::Str("host".to_string())),
-        ("cores".to_string(), Json::Num(cores as f64)),
-    ]));
+    // record; taken before the reset so `par_threads` reads the width the
+    // timings used.
+    records.push(host_record());
+    par::reset_threads();
 
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_train.json");
     merge_section(Path::new(out), "variational", records);

@@ -19,6 +19,13 @@ use std::path::Path;
 /// is far beyond any document the workspace writes or reads.
 pub const MAX_DEPTH: usize = 128;
 
+/// Longest line, its newline included, a reader of line-delimited JSON
+/// (the `qmldb-serve` wire protocol) buffers. Without a bound, a peer that
+/// never sends `\n` grows the reader's buffer until memory runs out. 1 MiB
+/// is far beyond any request the workspace sends and ten times the
+/// 100 000-bracket line the [`MAX_DEPTH`] test feeds the server.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// A JSON value. Objects preserve insertion order (`Vec`, not a map) so
 /// emitted documents are deterministic.
 #[derive(Clone, Debug, PartialEq)]

@@ -13,8 +13,8 @@ use crate::request::Reply;
 use crate::service::Service;
 use crate::wire::{batch_json, parse_line, reply_json, stats_json, Op};
 use qmldb_anneal::CancelToken;
-use qmldb_math::json::Json;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use qmldb_math::json::{Json, MAX_LINE_BYTES};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -116,14 +116,29 @@ fn handle_connection(
     let Ok(peer) = stream.try_clone() else { return };
     let mut writer = peer;
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the limit, counting what earlier
+        // timed-out reads left in `line`: a line that reaches it is over
+        // long.
+        let budget = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_until(b'\n', &mut line) {
             Ok(0) => break, // client closed the connection
             Ok(_) => {
-                if !line.trim().is_empty()
-                    && !dispatch(&line, &mut writer, service, stop, cancel, addr)
-                {
+                if line.len() > MAX_LINE_BYTES {
+                    let e = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                    let _ = writeln!(writer, "{}", reply_json(&Reply::Error(e)).compact());
+                    break;
+                }
+                let keep_open = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => true,
+                    Ok(text) => dispatch(text, &mut writer, service, stop, cancel, addr),
+                    Err(_) => {
+                        let e = Reply::Error("request line is not valid UTF-8".into());
+                        writeln!(writer, "{}", reply_json(&e).compact()).is_ok()
+                    }
+                };
+                if !keep_open {
                     break;
                 }
                 line.clear();

@@ -4,6 +4,7 @@
 
 use qmldb_anneal::{SaParams, TabuParams};
 use qmldb_db::{Portfolio, Solver};
+use qmldb_math::json::MAX_LINE_BYTES;
 use qmldb_serve::{
     spawn, Reply, Request, ServeOutcome, Service, ServiceConfig, Solution, WorkloadSpec,
     MAX_DEADLINE_MS,
@@ -686,6 +687,51 @@ fn tcp_deeply_nested_line_gets_an_error_and_the_server_keeps_answering() {
     let mut reader2 = BufReader::new(stream2);
     writeln!(writer2, "{{\"op\":\"stats\"}}").unwrap();
     line.clear();
+    reader2.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"stats\""), "got: {line}");
+
+    handle.shutdown();
+}
+
+#[test]
+fn tcp_over_long_or_non_utf8_line_gets_an_error_and_the_server_keeps_answering() {
+    let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
+    let addr = handle.local_addr();
+
+    // One byte past the limit and no newline: the server must answer
+    // once and close instead of buffering the line without bound.
+    let stream = TcpStream::connect(addr).expect("connect");
+    // A server that waits for the newline fails the test instead of
+    // hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .unwrap();
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let long = format!(
+        "{{\"op\":\"stats\",\"pad\":\"{}",
+        "x".repeat(MAX_LINE_BYTES)
+    );
+    writer
+        .write_all(&long.as_bytes()[..MAX_LINE_BYTES + 1])
+        .unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"error\""), "got: {line}");
+    assert!(line.contains("longer than"), "got: {line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "connection closed");
+
+    // The service is still healthy for everyone else. A line that is
+    // not UTF-8 gets an error for itself alone, too.
+    let stream2 = TcpStream::connect(addr).expect("connect 2");
+    let mut writer2 = stream2.try_clone().expect("clone 2");
+    let mut reader2 = BufReader::new(stream2);
+    writer2.write_all(b"{\"op\":\"st\xffats\"}\n").unwrap();
+    reader2.read_line(&mut line).unwrap();
+    assert!(line.contains("not valid UTF-8"), "got: {line}");
+    line.clear();
+    writeln!(writer2, "{{\"op\":\"stats\"}}").unwrap();
     reader2.read_line(&mut line).unwrap();
     assert!(line.contains("\"status\": \"stats\""), "got: {line}");
 

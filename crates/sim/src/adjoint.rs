@@ -35,15 +35,21 @@
 //! pass runs, other RX/RY/U3 rotations through the dense 1q kernel on a
 //! stack matrix, and X/CX/CCX through a pair swap. None of these
 //! allocates; only the remaining gates fall back to
-//! [`StateVector::apply`]. Brackets of uncontrolled single-qubit
-//! generators (the RX/RY/RZ of a VQC ansatz) accumulate only the
-//! component of the sum they return. Each of these matches the
-//! interpreter walk bit for bit on every nonzero value, so values and
-//! gradients are unchanged (the bitwise oracle tests here and in
-//! [`crate::compile`] pin this; DESIGN.md has the argument).
+//! [`StateVector::apply`]. Each step pulls ψ and λ back in one pass over
+//! their blocks. Brackets of uncontrolled single-qubit generators (the
+//! RX/RY/RZ of a VQC ansatz) accumulate only the component of the sum
+//! they return, and on a state small enough to run serially each is
+//! computed in the same pass that undoes its rotation
+//! (`bracket_undo`), adding its terms in the same order. Each of these
+//! matches the interpreter walk bit for bit on every nonzero value, so
+//! values and gradients are unchanged (the bitwise oracle tests here and
+//! in [`crate::compile`] pin this; DESIGN.md has the argument).
 
 use crate::circuit::{Circuit, Instr};
-use crate::compile::{apply_1q, apply_flip, apply_phase, apply_ry, ry_coeffs, RotKind};
+use crate::compile::{
+    dense_halves, flip_halves, for_pair_halves2, mat2_apply, phase_halves, runs_serially,
+    ry_coeffs, ry_halves, ry_pair, RotKind,
+};
 use crate::gate::{Angle, Gate};
 use crate::pauli::{Pauli, PauliString, PauliSum};
 use crate::statevector::StateVector;
@@ -69,6 +75,18 @@ struct Occurrence {
     /// Control mask — the bracket only sums amplitudes whose control
     /// bits are all set (`Π_c G` rather than `G`).
     cmask: usize,
+    /// Target bit and Pauli of an uncontrolled single-qubit generator —
+    /// the occurrences whose bracket skips the popcount loop and, at a
+    /// single-qubit undo step on the same bit, fuses into it.
+    gen1q: Option<(usize, Gen1q)>,
+}
+
+/// An uncontrolled single-qubit Pauli generator.
+#[derive(Clone, Copy, Debug)]
+enum Gen1q {
+    X,
+    Y,
+    Z,
 }
 
 /// The rotation's Pauli generator mapped onto the instruction's target
@@ -88,11 +106,9 @@ fn generator(instr: &Instr) -> Option<PauliString> {
 
 /// The backward step that undoes one forward instruction, lowered once.
 enum Undo {
-    /// Uncontrolled RZ(θ)†: the phase kernel with factors `cis(∓θ/2)`.
-    Rz { bit: usize, angle: Angle },
-    /// Uncontrolled RY(θ)†: the forward pass's real-coefficient kernel.
-    Ry { bit: usize, angle: Angle },
-    /// Any other (controlled) RX/RY/U3 dagger: the dense 1q kernel.
+    /// Uncontrolled RZ/RY/RX/U3 dagger: a single-qubit kernel on `bit`.
+    Pair { bit: usize, step: PairStep },
+    /// Controlled RX/RY/U3 dagger: the dense 1q kernel.
     Rot1q {
         bit: usize,
         cmask: usize,
@@ -104,29 +120,67 @@ enum Undo {
     Apply(Instr),
 }
 
+/// The kernel of an uncontrolled single-qubit undo step.
+enum PairStep {
+    /// RZ(θ)†: the phase kernel with the interpreter's factors
+    /// `cis(∓θ/2)`.
+    Rz(Angle),
+    /// RY(θ)†: the forward pass's real-coefficient kernel.
+    Ry(Angle),
+    /// RX/U3 dagger: the dense 1q kernel on a stack matrix.
+    Rot(RotKind),
+}
+
+/// What an uncontrolled single-qubit undo step does to each amplitude
+/// pair `(i, i|bit)`, with its angles resolved.
+#[derive(Clone, Copy, Debug)]
+enum PairMap {
+    Phase(C64, C64),
+    Ry(f64, f64),
+    Dense([C64; 4]),
+}
+
+impl PairStep {
+    fn resolve(&self, params: &[f64]) -> PairMap {
+        match self {
+            PairStep::Rz(angle) => {
+                // RZ's interpreter matrix is diag(cis(−θ/2), cis(θ/2)).
+                let th = angle.resolve(params) / 2.0;
+                PairMap::Phase(C64::cis(-th), C64::cis(th))
+            }
+            PairStep::Ry(angle) => {
+                let (c, s) = ry_coeffs(angle.resolve(params));
+                PairMap::Ry(c, s)
+            }
+            PairStep::Rot(kind) => PairMap::Dense(kind.matrix(params)),
+        }
+    }
+}
+
 impl Undo {
     fn new(instr: &Instr) -> Undo {
         let gate = instr.gate.dagger();
         let cmask = instr.controls.iter().fold(0usize, |m, &c| m | (1 << c));
         let bit = 1usize << instr.targets[0];
+        let rot = |kind| match cmask {
+            0 => Undo::Pair {
+                bit,
+                step: PairStep::Rot(kind),
+            },
+            _ => Undo::Rot1q { bit, cmask, kind },
+        };
         match gate {
-            Gate::RZ(angle) if cmask == 0 => Undo::Rz { bit, angle },
-            Gate::RY(angle) if cmask == 0 => Undo::Ry { bit, angle },
-            Gate::RX(a) => Undo::Rot1q {
+            Gate::RZ(angle) if cmask == 0 => Undo::Pair {
                 bit,
-                cmask,
-                kind: RotKind::Rx(a),
+                step: PairStep::Rz(angle),
             },
-            Gate::RY(a) => Undo::Rot1q {
+            Gate::RY(angle) if cmask == 0 => Undo::Pair {
                 bit,
-                cmask,
-                kind: RotKind::Ry(a),
+                step: PairStep::Ry(angle),
             },
-            Gate::U3(t, p, l) => Undo::Rot1q {
-                bit,
-                cmask,
-                kind: RotKind::U3(t, p, l),
-            },
+            Gate::RX(a) => rot(RotKind::Rx(a)),
+            Gate::RY(a) => rot(RotKind::Ry(a)),
+            Gate::U3(t, p, l) => rot(RotKind::U3(t, p, l)),
             Gate::X => Undo::Flip { bit, cmask },
             gate => Undo::Apply(Instr {
                 gate,
@@ -136,30 +190,20 @@ impl Undo {
         }
     }
 
-    /// Pulls both sweep states back through the step; angles resolve once.
+    /// Pulls both sweep states back through the step in one pass; angles
+    /// resolve once.
     fn apply(&self, psi: &mut StateVector, lam: &mut StateVector, params: &[f64]) {
+        let (p, l) = (psi.amplitudes_mut(), lam.amplitudes_mut());
         match self {
-            Undo::Rz { bit, angle } => {
-                // RZ's interpreter matrix is diag(cis(−θ/2), cis(θ/2)).
-                let th = angle.resolve(params) / 2.0;
-                let (f0, f1) = (C64::cis(-th), C64::cis(th));
-                apply_phase(psi.amplitudes_mut(), *bit, f0, f1);
-                apply_phase(lam.amplitudes_mut(), *bit, f0, f1);
-            }
-            Undo::Ry { bit, angle } => {
-                let (c, s) = ry_coeffs(angle.resolve(params));
-                apply_ry(psi.amplitudes_mut(), *bit, c, s);
-                apply_ry(lam.amplitudes_mut(), *bit, c, s);
-            }
+            Undo::Pair { bit, step } => match step.resolve(params) {
+                PairMap::Phase(f0, f1) => for_pair_halves2(p, l, *bit, phase_halves(f0, f1)),
+                PairMap::Ry(c, s) => for_pair_halves2(p, l, *bit, ry_halves(c, s)),
+                PairMap::Dense(m) => for_pair_halves2(p, l, *bit, dense_halves(m, 0)),
+            },
             Undo::Rot1q { bit, cmask, kind } => {
-                let m = kind.matrix(params);
-                apply_1q(psi.amplitudes_mut(), *bit, *cmask, &m);
-                apply_1q(lam.amplitudes_mut(), *bit, *cmask, &m);
+                for_pair_halves2(p, l, *bit, dense_halves(kind.matrix(params), *cmask))
             }
-            Undo::Flip { bit, cmask } => {
-                apply_flip(psi.amplitudes_mut(), *bit, *cmask);
-                apply_flip(lam.amplitudes_mut(), *bit, *cmask);
-            }
+            Undo::Flip { bit, cmask } => for_pair_halves2(p, l, *bit, flip_halves(*cmask)),
             Undo::Apply(instr) => {
                 psi.apply(instr, params);
                 lam.apply(instr, params);
@@ -208,6 +252,14 @@ impl AdjointGradient {
                 ) => {
                     let (flip, pmask, global) = g.masks();
                     let cmask = instr.controls.iter().fold(0usize, |m, &c| m | (1 << c));
+                    let bit = flip | pmask;
+                    let gen1q = (cmask == 0 && bit.is_power_of_two()).then_some(
+                        match (flip != 0, pmask != 0) {
+                            (true, true) => (bit, Gen1q::Y),
+                            (true, false) => (bit, Gen1q::X),
+                            _ => (bit, Gen1q::Z),
+                        },
+                    );
                     occurrences.push(Occurrence {
                         at,
                         idx,
@@ -216,6 +268,7 @@ impl AdjointGradient {
                         pmask,
                         global,
                         cmask,
+                        gen1q,
                     });
                 }
                 _ => {
@@ -260,18 +313,43 @@ impl AdjointGradient {
         // E = ⟨ψ|H|ψ⟩ = ⟨ψ|λ⟩ — real up to rounding for Hermitian H.
         let value = psi.inner(&lam).re;
         let mut grad = vec![0.0f64; self.base];
+        // The fused pass is serial; a state whose kernels fan out keeps
+        // the bracket and the parallel undo as two passes.
+        let fuse = runs_serially(psi.amplitudes().len());
+        let mut scratch = Vec::new();
         if let Some(first) = self.occurrences.first().map(|o| o.at) {
             let mut pending = self.occurrences.iter().rev().peekable();
             for j in (first..self.undo.len()).rev() {
-                if let Some(o) = pending.next_if(|o| o.at == j) {
-                    grad[o.idx] += o.mult * bracket(&lam, &psi, o);
-                }
+                let o = pending.next_if(|o| o.at == j);
                 if j == first {
                     // Nothing parameterized below — no need to keep
                     // unwinding the state.
+                    if let Some(o) = o {
+                        grad[o.idx] += o.mult * bracket(&lam, &psi, o);
+                    }
                     break;
                 }
-                self.undo[j].apply(&mut psi, &mut lam, params);
+                let step = &self.undo[j];
+                let Some(o) = o else {
+                    step.apply(&mut psi, &mut lam, params);
+                    continue;
+                };
+                let b = match (o.gen1q, step) {
+                    (Some((gbit, gen)), &Undo::Pair { bit, ref step }) if fuse && gbit == bit => {
+                        if scratch.len() < bit {
+                            scratch.resize(bit, 0.0);
+                        }
+                        let (la, pa) = (lam.amplitudes_mut(), psi.amplitudes_mut());
+                        let map = step.resolve(params);
+                        bracket_undo(la, pa, bit, gen, map, &mut scratch[..bit])
+                    }
+                    _ => {
+                        let b = bracket(&lam, &psi, o);
+                        step.apply(&mut psi, &mut lam, params);
+                        b
+                    }
+                };
+                grad[o.idx] += o.mult * b;
             }
         }
         (value, grad)
@@ -295,19 +373,12 @@ impl AdjointGradient {
 }
 
 /// `Im ⟨λ| Π_c G |ψ⟩` — the occurrence's generator bracket, with the
-/// control projector folded in as an index filter. Uncontrolled single-qubit generators take [`bracket_1q`].
+/// control projector folded in as an index filter. Uncontrolled
+/// single-qubit generators take [`bracket_1q`].
 fn bracket(lam: &StateVector, psi: &StateVector, o: &Occurrence) -> f64 {
-    let bit = o.flip | o.pmask;
-    if o.cmask == 0 && bit.is_power_of_two() {
-        bracket_1q(
-            lam.amplitudes(),
-            psi.amplitudes(),
-            bit,
-            o.flip != 0,
-            o.pmask != 0,
-        )
-    } else {
-        bracket_general(lam.amplitudes(), psi.amplitudes(), o)
+    match o.gen1q {
+        Some((bit, gen)) => bracket_1q(lam.amplitudes(), psi.amplitudes(), bit, gen),
+        None => bracket_general(lam.amplitudes(), psi.amplitudes(), o),
     }
 }
 
@@ -325,19 +396,27 @@ fn bracket_general(la: &[C64], pa: &[C64], o: &Occurrence) -> f64 {
     (acc * o.global).im
 }
 
+/// Im and Re of `conj(l)·p`, written as the complex product rounds them
+/// (`x + (−y)·z ≡ x − y·z` in IEEE arithmetic).
+#[inline(always)]
+fn im(l: C64, p: C64) -> f64 {
+    l.re * p.im - l.im * p.re
+}
+
+#[inline(always)]
+fn re(l: C64, p: C64) -> f64 {
+    l.re * p.re + l.im * p.im
+}
+
 /// [`bracket`] for an uncontrolled X (`flip`), Y (`flip` and `phase`) or
 /// Z (`phase`) generator on `bit`: sums exactly what the general loop
 /// sums, in the same index order, but only the component it returns —
 /// `(acc·1).im = acc.im` for X and Z, `(acc·i).im = acc.re` for Y.
-fn bracket_1q(la: &[C64], pa: &[C64], bit: usize, flip: bool, phase: bool) -> f64 {
-    // Im and Re of `conj(l)·p`, written as the complex product rounds
-    // them (`x + (−y)·z ≡ x − y·z` in IEEE arithmetic).
-    let im = |l: &C64, p: &C64| l.re * p.im - l.im * p.re;
-    let re = |l: &C64, p: &C64| l.re * p.re + l.im * p.im;
-    match (flip, phase) {
-        (true, true) => bracket_runs(la, pa, bit, true, -1.0, 1.0, re),
-        (true, false) => bracket_runs(la, pa, bit, true, 1.0, 1.0, im),
-        _ => bracket_runs(la, pa, bit, false, 1.0, -1.0, im),
+fn bracket_1q(la: &[C64], pa: &[C64], bit: usize, gen: Gen1q) -> f64 {
+    match gen {
+        Gen1q::Y => bracket_runs(la, pa, bit, true, -1.0, 1.0, re),
+        Gen1q::X => bracket_runs(la, pa, bit, true, 1.0, 1.0, im),
+        Gen1q::Z => bracket_runs(la, pa, bit, false, 1.0, -1.0, im),
     }
 }
 
@@ -354,7 +433,7 @@ fn bracket_runs(
     flip: bool,
     s0: f64,
     s1: f64,
-    part: impl Fn(&C64, &C64) -> f64,
+    part: impl Fn(C64, C64) -> f64,
 ) -> f64 {
     let mut acc = 0.0f64;
     for (l, p) in la.chunks(2 * bit).zip(pa.chunks(2 * bit)) {
@@ -362,12 +441,98 @@ fn bracket_runs(
         let (p0, p1) = p.split_at(bit);
         let (q0, q1) = if flip { (p1, p0) } else { (p0, p1) };
         for (a, b) in l0.iter().zip(q0) {
-            acc += part(a, b) * s0;
+            acc += part(*a, *b) * s0;
         }
         for (a, b) in l1.iter().zip(q1) {
-            acc += part(a, b) * s1;
+            acc += part(*a, *b) * s1;
         }
     }
+    acc
+}
+
+/// [`bracket_1q`] fused into the undo step that follows it: one pass over
+/// each `2·bit` block of λ and ψ returns the bracket of the states as
+/// they are and leaves both pulled back through `map`.
+///
+/// The bracket adds the same terms in the same order as
+/// [`bracket_runs`]: per block, the bit-clear terms, then the bit-set
+/// ones. The pass adds each bit-clear term as it reads its pair, parks
+/// the bit-set term in `t1` (`bit` entries, reused across blocks) and
+/// adds those in index order once the block is done. Each term is
+/// computed from the pair before the pair is overwritten, and the undone
+/// pair is the per-pair expression of the kernel the step would run
+/// ([`phase_halves`], [`ry_pair`], [`mat2_apply`]), so both the bracket
+/// and the states come out bit-identical to the two-pass sweep.
+fn bracket_undo(
+    la: &mut [C64],
+    pa: &mut [C64],
+    bit: usize,
+    gen: Gen1q,
+    map: PairMap,
+    t1: &mut [f64],
+) -> f64 {
+    match map {
+        PairMap::Phase(f0, f1) => bracket_undo_gen(la, pa, bit, gen, t1, |x, y| (x * f0, y * f1)),
+        PairMap::Ry(c, s) => bracket_undo_gen(la, pa, bit, gen, t1, |x, y| ry_pair(c, s, x, y)),
+        PairMap::Dense(m) => bracket_undo_gen(la, pa, bit, gen, t1, |x, y| mat2_apply(&m, x, y)),
+    }
+}
+
+#[inline(always)]
+fn bracket_undo_gen(
+    la: &mut [C64],
+    pa: &mut [C64],
+    bit: usize,
+    gen: Gen1q,
+    t1: &mut [f64],
+    undo: impl Fn(C64, C64) -> (C64, C64),
+) -> f64 {
+    match gen {
+        Gen1q::Y => bracket_undo_runs(la, pa, bit, true, -1.0, 1.0, re, t1, undo),
+        Gen1q::X => bracket_undo_runs(la, pa, bit, true, 1.0, 1.0, im, t1, undo),
+        Gen1q::Z => bracket_undo_runs(la, pa, bit, false, 1.0, -1.0, im, t1, undo),
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn bracket_undo_runs(
+    la: &mut [C64],
+    pa: &mut [C64],
+    bit: usize,
+    flip: bool,
+    s0: f64,
+    s1: f64,
+    part: impl Fn(C64, C64) -> f64,
+    t1: &mut [f64],
+    undo: impl Fn(C64, C64) -> (C64, C64),
+) -> f64 {
+    let mut acc = 0.0f64;
+    crate::compile::with_half_len!(bit, |half| {
+        let blocks = la
+            .chunks_exact_mut(2 * half)
+            .zip(pa.chunks_exact_mut(2 * half));
+        for (l, p) in blocks {
+            let (l0, l1) = l.split_at_mut(half);
+            let (p0, p1) = p.split_at_mut(half);
+            let t1 = &mut t1[..half];
+            let pairs = l0
+                .iter_mut()
+                .zip(l1.iter_mut())
+                .zip(p0.iter_mut().zip(p1.iter_mut()));
+            for (((l0, l1), (p0, p1)), t) in pairs.zip(t1.iter_mut()) {
+                let (a0, a1, b0, b1) = (*l0, *l1, *p0, *p1);
+                let (q0, q1) = if flip { (b1, b0) } else { (b0, b1) };
+                acc += part(a0, q0) * s0;
+                *t = part(a1, q1) * s1;
+                (*l0, *l1) = undo(a0, a1);
+                (*p0, *p1) = undo(b0, b1);
+            }
+            for t in t1.iter() {
+                acc += t;
+            }
+        }
+    });
     acc
 }
 
@@ -610,6 +775,58 @@ mod tests {
                 assert_eq!(value.to_bits(), want_value.to_bits(), "n={n} value");
                 for (k, (g, w)) in grad.iter().zip(&want_grad).enumerate() {
                     assert_eq!(g.to_bits(), w.to_bits(), "n={n} grad[{k}]: {g} vs {w}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn fused_bracket_undo_matches_bracket_then_undo_bitwise() {
+        // The fused pass against the two-pass sweep step it replaces: the
+        // plain bracket, then the undo step on both states.
+        use crate::compile::tests::random_amps;
+        qmldb_math::check::cases("fused_bracket_undo", 3, |rng| {
+            for n in 1..=10usize {
+                let psi = StateVector::from_amplitudes(random_amps(rng, n));
+                let lam = StateVector::from_amplitudes(random_amps(rng, n));
+                let a = Angle::Const(rng.uniform_range(-7.0, 7.0));
+                let b = Angle::Const(rng.uniform_range(-7.0, 7.0));
+                for q in 0..n {
+                    let bit = 1usize << q;
+                    for gen in [Gen1q::X, Gen1q::Y, Gen1q::Z] {
+                        let steps = [
+                            PairStep::Rz(a),
+                            PairStep::Ry(a),
+                            PairStep::Rot(RotKind::Rx(a)),
+                            PairStep::Rot(RotKind::U3(a, b, Angle::Const(0.3))),
+                        ];
+                        for step in steps {
+                            let map = step.resolve(&[]);
+                            let want = bracket_1q(lam.amplitudes(), psi.amplitudes(), bit, gen);
+                            let (mut want_psi, mut want_lam) = (psi.clone(), lam.clone());
+                            Undo::Pair { bit, step }.apply(&mut want_psi, &mut want_lam, &[]);
+                            let (mut got_psi, mut got_lam) = (psi.clone(), lam.clone());
+                            let got = bracket_undo(
+                                got_lam.amplitudes_mut(),
+                                got_psi.amplitudes_mut(),
+                                bit,
+                                gen,
+                                map,
+                                &mut vec![0.0; bit],
+                            );
+                            let what = format!("n={n} bit={bit} {map:?} {gen:?}");
+                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: bracket");
+                            for (g, w) in [(&got_psi, &want_psi), (&got_lam, &want_lam)] {
+                                for (x, y) in g.amplitudes().iter().zip(w.amplitudes()) {
+                                    assert!(
+                                        x.re.to_bits() == y.re.to_bits()
+                                            && x.im.to_bits() == y.im.to_bits(),
+                                        "{what}: {x:?} vs {y:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
                 }
             }
         });

@@ -41,6 +41,12 @@
 //! [`StateVector::apply`]. Each produces the same bits as the path it
 //! replaced on every nonzero value; the bitwise oracle tests below pin
 //! that against the table pass and the complex 2×2 kernel.
+//!
+//! Every pair kernel walks its `2·bit` blocks through one decomposition,
+//! `pair_blocks`, which gives the low target bits 1, 2 and 4
+//! compile-time half-block lengths. The walk only changes how the loop is
+//! driven, never which amplitudes meet which arithmetic, so it is pinned
+//! bitwise against the plain chunk loop below.
 
 use crate::circuit::{Circuit, Instr};
 use crate::gate::{Angle, Gate};
@@ -821,11 +827,17 @@ pub(crate) fn slabbed<F>(amps: &mut [C64], align: usize, work: F)
 where
     F: Fn(usize, &mut [C64]) + Sync,
 {
-    if amps.len() >= PAR_MIN && par::thread_count() > 1 {
-        par::for_slabs(amps, align, work);
-    } else {
+    if runs_serially(amps.len()) {
         work(0, amps);
+    } else {
+        par::for_slabs(amps, align, work);
     }
+}
+
+/// True when a pass over `len` amplitudes runs on the calling thread: the
+/// state is below [`PAR_MIN`] or the pool is one thread wide.
+pub(crate) fn runs_serially(len: usize) -> bool {
+    len < PAR_MIN || par::thread_count() <= 1
 }
 
 /// One pass applying a whole run of diagonal phase terms. `terms` holds
@@ -991,17 +1003,94 @@ fn lone_phase_factors(t: &ResolvedDiag) -> (C64, C64) {
 
 /// Uncontrolled single-bit phase kernel: amplitudes with `bit` clear are
 /// multiplied by `f0`, those with it set by `f1`. Runs the lone-term
-/// diagonal op of the forward pass and the RZ undo step of the adjoint
-/// sweep (which feeds it the interpreter's `cis(∓θ/2)`).
+/// diagonal op of the forward pass; the adjoint sweep's RZ undo step runs
+/// [`phase_halves`] (fed the interpreter's `cis(∓θ/2)`) on both states.
 pub(crate) fn apply_phase(amps: &mut [C64], bit: usize, f0: C64, f1: C64) {
-    for_pair_halves(amps, bit, |_, h0, h1| {
+    for_pair_halves(amps, bit, phase_halves(f0, f1));
+}
+
+/// The phase kernel on one matched half-block pair.
+pub(crate) fn phase_halves(f0: C64, f1: C64) -> impl Fn(usize, &mut [C64], &mut [C64]) + Sync {
+    move |_, h0, h1| {
         for a in h0 {
             *a *= f0;
         }
         for a in h1 {
             *a *= f1;
         }
-    });
+    }
+}
+
+/// Expands `$body` once per half-block length with `$half` bound to
+/// `$bit`. The low target bits 1, 2 and 4 get copies in which `$half` is
+/// a literal, so the block walk and the kernel's inner loops have
+/// compile-time lengths and unroll; every other bit runs the body with
+/// the runtime value. Each copy performs the same operations in the same
+/// order.
+macro_rules! with_half_len {
+    ($bit:expr, |$half:ident| $body:expr) => {
+        match $bit {
+            1 => {
+                let $half = 1usize;
+                $body
+            }
+            2 => {
+                let $half = 2usize;
+                $body
+            }
+            4 => {
+                let $half = 4usize;
+                $body
+            }
+            $half => $body,
+        }
+    };
+}
+pub(crate) use with_half_len;
+
+/// Calls `f(base + offset, h0, h1)` for every `2·bit` block of `slab`, in
+/// order, with the block split at `bit` (`slab` starts at global index
+/// `base` and is a whole number of blocks).
+///
+/// This is the one block walk behind every pair kernel, on the serial
+/// path and inside each slab alike, so which walk runs depends only on
+/// the target bit. At bit 1 an 8-qubit state is 128 one-pair blocks;
+/// walked at a runtime length, each block pays a slice split and a loop
+/// setup for a single pair. [`with_half_len!`] gives the low bits
+/// fixed-length copies instead.
+#[inline(always)]
+fn pair_blocks<F>(slab: &mut [C64], base: usize, bit: usize, mut f: F)
+where
+    F: FnMut(usize, &mut [C64], &mut [C64]),
+{
+    debug_assert_eq!(slab.len() % (2 * bit), 0);
+    with_half_len!(bit, |half| {
+        for (bi, block) in slab.chunks_exact_mut(2 * half).enumerate() {
+            let (h0, h1) = block.split_at_mut(half);
+            f(base + bi * 2 * half, h0, h1);
+        }
+    })
+}
+
+/// [`pair_blocks`] over two equal-length states in one serial pass:
+/// `f(base, a0, a1, b0, b1)` gets block `k` of `a` and block `k` of `b`.
+#[inline(always)]
+fn pair_blocks2<F>(a: &mut [C64], b: &mut [C64], bit: usize, mut f: F)
+where
+    F: FnMut(usize, &mut [C64], &mut [C64], &mut [C64], &mut [C64]),
+{
+    debug_assert_eq!(a.len(), b.len());
+    debug_assert_eq!(a.len() % (2 * bit), 0);
+    with_half_len!(bit, |half| {
+        let blocks = a
+            .chunks_exact_mut(2 * half)
+            .zip(b.chunks_exact_mut(2 * half));
+        for (bi, (ba, bb)) in blocks.enumerate() {
+            let (a0, a1) = ba.split_at_mut(half);
+            let (b0, b1) = bb.split_at_mut(half);
+            f(bi * 2 * half, a0, a1, b0, b1);
+        }
+    })
 }
 
 /// Runs `f` over every matched (bit-clear, bit-set) half-block pair of a
@@ -1013,8 +1102,8 @@ pub(crate) fn apply_phase(amps: &mut [C64], bit: usize, f0: C64, f1: C64) {
 /// choice never changes a single rounding:
 ///
 /// * **Low bits / many super-blocks** — contiguous slabs aligned to the
-///   block grid, each slab's `2·bit` blocks split at `bit` in place. This
-///   is the classic slab path, now with [`BLOCK`]-aligned boundaries.
+///   block grid, each slab walked block by block ([`pair_blocks`]). This
+///   is the classic slab path, with [`BLOCK`]-aligned boundaries.
 /// * **High bits, few super-blocks** (top-bit gates, where an aligned
 ///   contiguous split degenerates to one serial slab) — the two halves
 ///   of each `2·bit` super-block are chunked in lockstep via
@@ -1025,10 +1114,7 @@ where
     F: Fn(usize, &mut [C64], &mut [C64]) + Sync,
 {
     let sb = 2 * bit;
-    let pair_split = bit >= BLOCK
-        && amps.len() >= PAR_MIN
-        && amps.len() / sb < PAR_SUPER
-        && par::thread_count() > 1;
+    let pair_split = bit >= BLOCK && amps.len() / sb < PAR_SUPER && !runs_serially(amps.len());
     if pair_split {
         for (sbi, block) in amps.chunks_mut(sb).enumerate() {
             let (h0, h1) = block.split_at_mut(bit);
@@ -1036,11 +1122,28 @@ where
         }
     } else {
         slabbed(amps, sb.max(BLOCK), |slab_base, slab| {
-            for (bi, block) in slab.chunks_mut(sb).enumerate() {
-                let (h0, h1) = block.split_at_mut(bit);
-                f(slab_base + bi * sb, h0, h1);
-            }
+            pair_blocks(slab, slab_base, bit, &f)
         });
+    }
+}
+
+/// [`for_pair_halves`] over two states: the adjoint sweep's undo steps,
+/// which pull ψ and λ back through the same gate. A serial state takes
+/// one pass that runs `f` on block `k` of `a`, then block `k` of `b`; a
+/// parallel one runs the two states one after the other. `f` sees the
+/// same half-blocks either way.
+pub(crate) fn for_pair_halves2<F>(a: &mut [C64], b: &mut [C64], bit: usize, f: F)
+where
+    F: Fn(usize, &mut [C64], &mut [C64]) + Sync,
+{
+    if runs_serially(a.len()) {
+        pair_blocks2(a, b, bit, |base, a0, a1, b0, b1| {
+            f(base, a0, a1);
+            f(base, b0, b1);
+        });
+    } else {
+        for_pair_halves(a, bit, &f);
+        for_pair_halves(b, bit, &f);
     }
 }
 
@@ -1054,18 +1157,16 @@ where
 /// few to feed the pool, the four bit-combination stripes of each
 /// super-block are chunked in lockstep ([`par::for_slab_quads`]);
 /// otherwise the `lo` interleave is peeled inside [`for_pair_halves`]'s
-/// chunk pairs. Every path hands `f` four contiguous streams on the same
-/// 256-aligned grid — the cache-blocked form of the 2q gather/scatter —
-/// and `f`'s per-quad arithmetic is identical across paths.
+/// chunk pairs by [`pair_blocks2`]. Every path hands `f` four contiguous
+/// streams on the same 256-aligned grid — the cache-blocked form of the
+/// 2q gather/scatter — and `f`'s per-quad arithmetic is identical across
+/// paths.
 fn quad_slabbed<F>(amps: &mut [C64], ba: usize, bb: usize, f: F)
 where
     F: Fn(usize, &mut [C64], &mut [C64], &mut [C64], &mut [C64]) + Sync,
 {
     let (lo, hi) = (ba.min(bb), ba.max(bb));
-    let quad_split = lo >= BLOCK
-        && amps.len() >= PAR_MIN
-        && amps.len() / (2 * hi) < PAR_SUPER
-        && par::thread_count() > 1;
+    let quad_split = lo >= BLOCK && amps.len() / (2 * hi) < PAR_SUPER && !runs_serially(amps.len());
     if quad_split {
         for (sbi, block) in amps.chunks_mut(2 * hi).enumerate() {
             let (l, h) = block.split_at_mut(hi);
@@ -1080,21 +1181,20 @@ where
         }
     } else {
         for_pair_halves(amps, hi, |base, l, h| {
-            for (si, (lsub, hsub)) in l.chunks_mut(2 * lo).zip(h.chunks_mut(2 * lo)).enumerate() {
-                let (c00, c01) = lsub.split_at_mut(lo);
-                let (c10, c11) = hsub.split_at_mut(lo);
-                f(base + si * 2 * lo, c00, c01, c10, c11);
-            }
+            pair_blocks2(l, h, lo, |off, c00, c01, c10, c11| {
+                f(base + off, c00, c01, c10, c11)
+            });
         });
     }
 }
 
 /// One 2×2 application to an amplitude pair as fused multiply-adds — the
 /// single arithmetic expression shared by every dense-1q path (serial,
-/// slab, pair-split, controlled), which is what keeps compiled results
-/// bit-identical however the state is partitioned.
+/// slab, pair-split, controlled, and the adjoint sweep's fused bracket
+/// pass), which is what keeps compiled results bit-identical however the
+/// state is partitioned.
 #[inline(always)]
-fn mat2_apply(m: &[C64; 4], a0: C64, a1: C64) -> (C64, C64) {
+pub(crate) fn mat2_apply(m: &[C64; 4], a0: C64, a1: C64) -> (C64, C64) {
     (m[0].mul_add(a0, m[1] * a1), m[2].mul_add(a0, m[3] * a1))
 }
 
@@ -1114,6 +1214,7 @@ fn mat4_apply(m: &[C64; 16], a0: C64, a1: C64, a2: C64, a3: C64) -> (C64, C64, C
 /// matched half-blocks, manually unrolled four pairs deep so the four
 /// complex-FMA chains pipeline independently. The remainder loop reuses
 /// [`mat2_apply`] verbatim, so unrolling never changes a result.
+#[inline(always)]
 fn kernel_1q(h0: &mut [C64], h1: &mut [C64], m: &[C64; 4]) {
     let n = h0.len();
     debug_assert_eq!(n, h1.len());
@@ -1147,18 +1248,26 @@ fn kernel_1q(h0: &mut [C64], h1: &mut [C64], m: &[C64; 4]) {
 
 /// (Controlled) dense 1q kernel over pairs `(i, i|bit)`.
 pub(crate) fn apply_1q(amps: &mut [C64], bit: usize, cmask: usize, m: &[C64; 4]) {
-    if cmask == 0 {
-        for_pair_halves(amps, bit, |_, h0, h1| kernel_1q(h0, h1, m));
-    } else {
-        for_pair_halves(amps, bit, |base, h0, h1| {
+    for_pair_halves(amps, bit, dense_halves(*m, cmask));
+}
+
+/// The (controlled) dense 1q kernel on one matched half-block pair.
+pub(crate) fn dense_halves(
+    m: [C64; 4],
+    cmask: usize,
+) -> impl Fn(usize, &mut [C64], &mut [C64]) + Sync {
+    move |base, h0, h1| {
+        if cmask == 0 {
+            kernel_1q(h0, h1, &m);
+        } else {
             for k in 0..h0.len() {
                 if (base + k) & cmask == cmask {
-                    let r = mat2_apply(m, h0[k], h1[k]);
+                    let r = mat2_apply(&m, h0[k], h1[k]);
                     h0[k] = r.0;
                     h1[k] = r.1;
                 }
             }
-        });
+        }
     }
 }
 
@@ -1180,31 +1289,44 @@ pub(crate) fn ry_coeffs(theta: f64) -> (f64, f64) {
 /// nothing but the sign of a zero result. One kernel serves the forward
 /// pass and the adjoint sweep's RY undo step.
 pub(crate) fn apply_ry(amps: &mut [C64], bit: usize, c: f64, s: f64) {
-    for_pair_halves(amps, bit, |_, h0, h1| {
+    for_pair_halves(amps, bit, ry_halves(c, s));
+}
+
+/// The real RY kernel on one matched half-block pair.
+pub(crate) fn ry_halves(c: f64, s: f64) -> impl Fn(usize, &mut [C64], &mut [C64]) + Sync {
+    move |_, h0, h1| {
         for (a0, a1) in h0.iter_mut().zip(h1.iter_mut()) {
-            let (x, y) = (*a0, *a1);
-            *a0 = C64::new(c * x.re - s * y.re, c * x.im - s * y.im);
-            *a1 = C64::new(s * x.re + c * y.re, s * x.im + c * y.im);
+            (*a0, *a1) = ry_pair(c, s, *a0, *a1);
         }
-    });
+    }
+}
+
+/// The real RY kernel on one amplitude pair.
+#[inline(always)]
+pub(crate) fn ry_pair(c: f64, s: f64, x: C64, y: C64) -> (C64, C64) {
+    (
+        C64::new(c * x.re - s * y.re, c * x.im - s * y.im),
+        C64::new(s * x.re + c * y.re, s * x.im + c * y.im),
+    )
 }
 
 /// (Multi-controlled) X kernel: swaps pairs `(i, i|bit)`.
 pub(crate) fn apply_flip(amps: &mut [C64], bit: usize, cmask: usize) {
-    if cmask == 0 {
-        for_pair_halves(amps, bit, |_, h0, h1| {
-            for (a, b) in h0.iter_mut().zip(h1.iter_mut()) {
-                std::mem::swap(a, b);
-            }
-        });
-    } else {
-        for_pair_halves(amps, bit, |base, h0, h1| {
+    for_pair_halves(amps, bit, flip_halves(cmask));
+}
+
+/// The (multi-controlled) X kernel on one matched half-block pair.
+pub(crate) fn flip_halves(cmask: usize) -> impl Fn(usize, &mut [C64], &mut [C64]) + Sync {
+    move |base, h0, h1| {
+        if cmask == 0 {
+            h0.swap_with_slice(h1);
+        } else {
             for k in 0..h0.len() {
                 if (base + k) & cmask == cmask {
                     std::mem::swap(&mut h0[k], &mut h1[k]);
                 }
             }
-        });
+        }
     }
 }
 
@@ -1213,7 +1335,14 @@ pub(crate) fn apply_flip(amps: &mut [C64], bit: usize, cmask: usize) {
 /// `cmask` is disjoint from both targets, so the control test reads the
 /// shared non-target bits `base + k`.
 fn apply_swap(amps: &mut [C64], ta: usize, tb: usize, cmask: usize) {
-    quad_slabbed(amps, ta, tb, |base, _c00, c01, c10, _c11| {
+    quad_slabbed(amps, ta, tb, swap_quads(cmask));
+}
+
+/// The (controlled) SWAP kernel on one matched quadruple chunk.
+fn swap_quads(
+    cmask: usize,
+) -> impl Fn(usize, &mut [C64], &mut [C64], &mut [C64], &mut [C64]) + Sync {
+    move |base, _c00, c01, c10, _c11| {
         if cmask == 0 {
             for (a, b) in c01.iter_mut().zip(c10.iter_mut()) {
                 std::mem::swap(a, b);
@@ -1225,15 +1354,25 @@ fn apply_swap(amps: &mut [C64], ta: usize, tb: usize, cmask: usize) {
                 }
             }
         }
-    });
+    }
 }
 
 /// (Controlled) dense 2q kernel over quadruples; sub-index bit 0 is `ta`.
-/// [`quad_slabbed`] delivers chunks in lo/hi stride order, so the middle
-/// two are swapped into `ta`/`tb` order before the 4×4 rows apply.
 fn apply_2q(amps: &mut [C64], ta: usize, tb: usize, cmask: usize, m: &[C64; 16]) {
-    quad_slabbed(amps, ta, tb, |base, c00, clo, chi, c11| {
-        let (c01, c10) = if ta < tb { (clo, chi) } else { (chi, clo) };
+    quad_slabbed(amps, ta, tb, dense2q_quads(ta < tb, cmask, m));
+}
+
+/// The (controlled) dense 2q kernel on one matched quadruple chunk.
+/// [`quad_slabbed`] delivers chunks in lo/hi stride order, so unless
+/// `ta_low` the middle two are swapped into `ta`/`tb` order before the
+/// 4×4 rows apply.
+fn dense2q_quads(
+    ta_low: bool,
+    cmask: usize,
+    m: &[C64; 16],
+) -> impl Fn(usize, &mut [C64], &mut [C64], &mut [C64], &mut [C64]) + Sync + '_ {
+    move |base, c00, clo, chi, c11| {
+        let (c01, c10) = if ta_low { (clo, chi) } else { (chi, clo) };
         if cmask == 0 {
             for k in 0..c00.len() {
                 let r = mat4_apply(m, c00[k], c01[k], c10[k], c11[k]);
@@ -1253,7 +1392,7 @@ fn apply_2q(amps: &mut [C64], ta: usize, tb: usize, cmask: usize, m: &[C64; 16])
                 }
             }
         }
-    });
+    }
 }
 
 /// Generic dense k-qubit kernel with precomputed scatter offsets; serial
@@ -1290,7 +1429,7 @@ fn apply_kq(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::f64::consts::PI;
 
@@ -1469,7 +1608,7 @@ mod tests {
     }
 
     /// Random amplitudes, an eighth of them exact zeros of either sign.
-    fn random_amps(rng: &mut qmldb_math::Rng64, n: usize) -> Vec<C64> {
+    pub(crate) fn random_amps(rng: &mut qmldb_math::Rng64, n: usize) -> Vec<C64> {
         (0..1usize << n)
             .map(|_| match rng.index(16) {
                 0 => C64::ZERO,
@@ -1574,6 +1713,110 @@ mod tests {
                         let (c, s) = ry_coeffs(theta);
                         apply_ry(&mut got, 1 << q, c, s);
                         assert_bits_eq(&got, &want, &format!("n={n} q={q} θ={theta}"));
+                    }
+                }
+            }
+        });
+    }
+
+    /// The block walk without fixed-length copies: serial `2·bit` chunks
+    /// at a runtime length, split at `bit`.
+    fn generic_pair_halves(
+        amps: &mut [C64],
+        bit: usize,
+        f: impl Fn(usize, &mut [C64], &mut [C64]),
+    ) {
+        for (bi, block) in amps.chunks_mut(2 * bit).enumerate() {
+            let (h0, h1) = block.split_at_mut(bit);
+            f(bi * 2 * bit, h0, h1);
+        }
+    }
+
+    /// [`quad_slabbed`]'s serial path on [`generic_pair_halves`], with the
+    /// `lo` interleave peeled by a runtime-length chunk loop as well.
+    type Quad<'a> = (&'a mut [C64], &'a mut [C64], &'a mut [C64], &'a mut [C64]);
+    fn generic_quads(amps: &mut [C64], ba: usize, bb: usize, f: impl Fn(usize, Quad)) {
+        let (lo, hi) = (ba.min(bb), ba.max(bb));
+        generic_pair_halves(amps, hi, |base, l, h| {
+            for (si, (lsub, hsub)) in l.chunks_mut(2 * lo).zip(h.chunks_mut(2 * lo)).enumerate() {
+                let (c00, c01) = lsub.split_at_mut(lo);
+                let (c10, c11) = hsub.split_at_mut(lo);
+                f(base + si * 2 * lo, (c00, c01, c10, c11));
+            }
+        });
+    }
+
+    fn random_c64(rng: &mut qmldb_math::Rng64) -> C64 {
+        C64::new(rng.uniform_range(-1.0, 1.0), rng.uniform_range(-1.0, 1.0))
+    }
+
+    #[test]
+    fn fixed_length_pair_walk_matches_generic_chunk_loop_bitwise() {
+        // Every pair kernel through its real entry (fixed-length copies at
+        // the low bits; slab and pair-split paths at 15 qubits when the
+        // pool is wider than one thread) against the plain chunk loop.
+        qmldb_math::check::cases("fixed_length_pair_walk", 1, |rng| {
+            for n in 1..=15usize {
+                let amps = random_amps(rng, n);
+                for q in 0..n {
+                    let bit = 1usize << q;
+                    let others: Vec<usize> = (0..n).filter(|&r| r != q).collect();
+                    let ctl = if others.is_empty() {
+                        0
+                    } else {
+                        1 << others[rng.index(others.len())]
+                    };
+                    let (c, s) = ry_coeffs(rng.uniform_range(-7.0, 7.0));
+                    let (f0, f1) = (random_c64(rng), random_c64(rng));
+                    let m = [
+                        random_c64(rng),
+                        random_c64(rng),
+                        random_c64(rng),
+                        random_c64(rng),
+                    ];
+                    let check =
+                        |what: &str,
+                         run: &dyn Fn(&mut [C64]),
+                         f: &dyn Fn(usize, &mut [C64], &mut [C64])| {
+                            let mut got = amps.clone();
+                            run(&mut got);
+                            let mut want = amps.clone();
+                            generic_pair_halves(&mut want, bit, f);
+                            assert_bits_eq(&got, &want, &format!("{what} n={n} bit={bit}"));
+                        };
+                    check("ry", &|a| apply_ry(a, bit, c, s), &ry_halves(c, s));
+                    check(
+                        "phase",
+                        &|a| apply_phase(a, bit, f0, f1),
+                        &phase_halves(f0, f1),
+                    );
+                    for cmask in [0, ctl] {
+                        check(
+                            "dense",
+                            &|a| apply_1q(a, bit, cmask, &m),
+                            &dense_halves(m, cmask),
+                        );
+                        check("flip", &|a| apply_flip(a, bit, cmask), &flip_halves(cmask));
+                    }
+                    let m4: [C64; 16] = std::array::from_fn(|_| random_c64(rng));
+                    for &r in &others {
+                        let tb = 1usize << r;
+                        let cmask = others
+                            .iter()
+                            .find(|&&x| x != r)
+                            .map_or(0, |&x| (1usize << x) * rng.index(2));
+                        let mut got = amps.clone();
+                        apply_2q(&mut got, bit, tb, cmask, &m4);
+                        let mut want = amps.clone();
+                        let f = dense2q_quads(bit < tb, cmask, &m4);
+                        generic_quads(&mut want, bit, tb, |b, (w, x, y, z)| f(b, w, x, y, z));
+                        assert_bits_eq(&got, &want, &format!("2q n={n} {bit}/{tb} c={cmask}"));
+                        let mut got = amps.clone();
+                        apply_swap(&mut got, bit, tb, cmask);
+                        let mut want = amps.clone();
+                        let f = swap_quads(cmask);
+                        generic_quads(&mut want, bit, tb, |b, (w, x, y, z)| f(b, w, x, y, z));
+                        assert_bits_eq(&got, &want, &format!("swap n={n} {bit}/{tb} c={cmask}"));
                     }
                 }
             }

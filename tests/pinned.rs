@@ -1,4 +1,5 @@
-//! Absolute output pins for the portfolio and the annealers.
+//! Absolute output pins for the portfolio, the annealers and the
+//! state-vector simulator.
 //!
 //! `parallel_determinism` compares thread counts with each other, so a
 //! change that moves an answer the same way on every thread count passes
@@ -6,7 +7,7 @@
 //! fingerprint over the `to_bits()` of every float, every state bit and
 //! every work count a call returns, plus the caller's stream afterwards.
 //! A row changes only when some output bit does. CI runs this suite at
-//! the default thread count and at `QMLDB_THREADS` = 3 and 4, so each
+//! the default thread count and at `QMLDB_THREADS` = 1, 3 and 4, so each
 //! row is also pinned across thread counts.
 //!
 //! To re-derive a row after a deliberate output change, run
@@ -20,7 +21,12 @@ use qmldb::anneal::{
 };
 use qmldb::db::instances::{IndexParams, InstanceGenerator, JoinOrderParams, MqoParams, TxParams};
 use qmldb::db::{Portfolio, PortfolioOutcome, QuboProblem, Solver, Topology};
-use qmldb::math::Rng64;
+use qmldb::math::{Rng64, C64};
+use qmldb::qml::ansatz::hardware_efficient;
+use qmldb::qml::qaoa::maxcut_hamiltonian;
+use qmldb::qml::vqe::transverse_field_ising;
+use qmldb::qml::{Entanglement, FeatureMap, GradientEngine, Qaoa, QuantumKernel, Vqe};
+use qmldb::sim::{AdjointGradient, Angle, Circuit, Gate, PauliString, PauliSum, Simulator};
 
 /// A running FNV-1a fingerprint.
 struct Print(u64);
@@ -49,6 +55,22 @@ impl Print {
         self.u64(bits.len() as u64);
         for &b in bits {
             self.u64(b as u64);
+        }
+        self
+    }
+
+    fn f64s(&mut self, vs: &[f64]) -> &mut Self {
+        self.u64(vs.len() as u64);
+        for &v in vs {
+            self.f64(v);
+        }
+        self
+    }
+
+    fn amps(&mut self, amps: &[C64]) -> &mut Self {
+        self.u64(amps.len() as u64);
+        for a in amps {
+            self.f64(a.re).f64(a.im);
         }
         self
     }
@@ -377,4 +399,260 @@ fn escalating_solve() {
         outcome_print(&p, &out, &mut rng),
         0x5cf7_fb33_5e4b_779d,
     );
+}
+
+/// Free parameters of the seeded circuits below.
+const SIM_PARAMS: usize = 4;
+
+/// A seeded angle: constant a quarter of the time, otherwise one of the
+/// [`SIM_PARAMS`] free parameters, sometimes scaled and offset.
+fn angle(rng: &mut Rng64) -> Angle {
+    if rng.chance(0.25) {
+        Angle::Const(rng.uniform_range(-3.5, 3.5))
+    } else {
+        Angle::Param {
+            idx: rng.index(SIM_PARAMS),
+            mult: [1.0, -1.0, rng.uniform_range(-2.0, 2.0)][rng.index(3)],
+            offset: [0.0, rng.uniform_range(-1.0, 1.0)][rng.index(2)],
+        }
+    }
+}
+
+/// A distinct qubit outside `taken`.
+fn other_qubit(rng: &mut Rng64, n: usize, taken: &[usize]) -> usize {
+    loop {
+        let q = rng.index(n);
+        if !taken.contains(&q) {
+            return q;
+        }
+    }
+}
+
+/// A seeded circuit the adjoint sweep can differentiate: uncontrolled and
+/// controlled RX/RY/RZ, RZZ/RXX/RYY, H, CX and CCX.
+fn mixed_circuit(n: usize, rng: &mut Rng64) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.new_params(SIM_PARAMS);
+    for q in 0..n {
+        c.h(q);
+    }
+    for _ in 0..6 * n + 8 {
+        let t = rng.index(n);
+        let kind = rng.index(if n == 1 { 4 } else { 10 });
+        match kind {
+            0..=2 => {
+                let a = angle(rng);
+                c.push(
+                    [Gate::RX(a), Gate::RY(a), Gate::RZ(a)][kind].clone(),
+                    vec![],
+                    vec![t],
+                );
+            }
+            3 => {
+                c.h(t);
+            }
+            4 | 5 => {
+                let ctl = other_qubit(rng, n, &[t]);
+                let a = angle(rng);
+                let gate = [Gate::RX(a), Gate::RY(a), Gate::RZ(a)][rng.index(3)].clone();
+                c.push(gate, vec![ctl], vec![t]);
+            }
+            6 => {
+                let ctl = other_qubit(rng, n, &[t]);
+                if n >= 3 && rng.chance(0.5) {
+                    let ctl2 = other_qubit(rng, n, &[t, ctl]);
+                    c.ccx(ctl, ctl2, t);
+                } else {
+                    c.cx(ctl, t);
+                }
+            }
+            _ => {
+                let u = other_qubit(rng, n, &[t]);
+                let a = angle(rng);
+                let gate = [Gate::RZZ(a), Gate::RXX(a), Gate::RYY(a)][rng.index(3)].clone();
+                c.push(gate, vec![], vec![t, u]);
+            }
+        }
+    }
+    c
+}
+
+/// A seeded observable of one- and two-qubit X/Y/Z strings.
+fn mixed_observable(n: usize, rng: &mut Rng64) -> PauliSum {
+    let paulis = [
+        PauliString::x as fn(usize) -> PauliString,
+        PauliString::y,
+        PauliString::z,
+    ];
+    let mut terms = Vec::new();
+    for q in 0..n {
+        terms.push((rng.uniform_range(-1.0, 1.0), paulis[rng.index(3)](q)));
+    }
+    for q in 1..n {
+        terms.push((rng.uniform_range(-1.0, 1.0), PauliString::zz(q - 1, q)));
+    }
+    PauliSum::from_terms(terms)
+}
+
+/// Value and gradient of a seeded mixed circuit, as the adjoint sweep
+/// returns them.
+fn adjoint_print(n: usize, seed: u64) -> u64 {
+    let mut rng = Rng64::new(seed);
+    let c = mixed_circuit(n, &mut rng);
+    let h = mixed_observable(n, &mut rng);
+    let params: Vec<f64> = (0..SIM_PARAMS)
+        .map(|_| rng.uniform_range(-3.0, 3.0))
+        .collect();
+    let (value, grad) = AdjointGradient::new(&c).value_and_gradient(&params, &h);
+    let mut p = Print::new();
+    p.f64(value).f64s(&grad);
+    p.0
+}
+
+#[test]
+fn adjoint_gradient_3_qubits() {
+    pin(
+        "adjoint_gradient_3_qubits",
+        adjoint_print(3, 120),
+        0x2029_1529_669b_619b,
+    );
+}
+
+#[test]
+fn adjoint_gradient_8_qubits() {
+    pin(
+        "adjoint_gradient_8_qubits",
+        adjoint_print(8, 121),
+        0xfa63_82c1_cba2_94de,
+    );
+}
+
+#[test]
+fn adjoint_gradient_15_qubits() {
+    // 2¹⁵ amplitudes: past the serial threshold, so the sweep's kernels
+    // take the slab and pair-split paths when more than one worker runs.
+    pin(
+        "adjoint_gradient_15_qubits",
+        adjoint_print(15, 122),
+        0x8d08_aa7a_e968_7873,
+    );
+}
+
+/// A seeded circuit over every compiled kernel: constant and
+/// parameterized 1q gates (fused, diagonal, flip, dense, RY), controlled
+/// forms, SWAP, the 2q rotations and a generic 3-qubit block.
+fn kernel_circuit(n: usize, rng: &mut Rng64) -> Circuit {
+    let mut c = mixed_circuit(n, rng);
+    for _ in 0..2 * n + 4 {
+        let t = rng.index(n);
+        match rng.index(if n < 3 { 6 } else { 9 }) {
+            0 => {
+                c.x(t);
+            }
+            1 => {
+                c.t(t).s(t);
+            }
+            2 => {
+                let a = angle(rng);
+                c.p(t, rng.uniform_range(-2.0, 2.0)).ry(t, a);
+            }
+            3 => {
+                c.u3(t, 0.3, -1.1, rng.uniform_range(-2.0, 2.0));
+            }
+            4 => {
+                c.push(Gate::Y, vec![], vec![t]).rz(t, 0.7);
+            }
+            5 if n >= 2 => {
+                let u = other_qubit(rng, n, &[t]);
+                c.swap(t, u).cp(u, t, rng.uniform_range(-2.0, 2.0));
+            }
+            5 => {
+                c.h(t);
+            }
+            6 => {
+                let u = other_qubit(rng, n, &[t]);
+                let v = other_qubit(rng, n, &[t, u]);
+                c.cswap(t, u, v).mcz(&[t, u], v);
+            }
+            7 => {
+                let u = other_qubit(rng, n, &[t]);
+                let v = other_qubit(rng, n, &[t, u]);
+                c.ccx(t, u, v).rxx(u, v, 0.4);
+            }
+            _ => {
+                let u = other_qubit(rng, n, &[t]);
+                let v = other_qubit(rng, n, &[t, u]);
+                let mut m = qmldb::math::CMatrix::zeros(8, 8);
+                for i in 0..8 {
+                    m[(i, (i + 3) % 8)] = C64::cis(0.2 * i as f64);
+                }
+                c.push(Gate::Unitary(m), vec![], vec![t, u, v]);
+            }
+        }
+    }
+    c
+}
+
+#[test]
+fn compiled_states_1_to_15_qubits() {
+    let mut h = Print::new();
+    for n in 1..=15usize {
+        let mut rng = Rng64::new(130 + n as u64);
+        let c = kernel_circuit(n, &mut rng);
+        let params: Vec<f64> = (0..SIM_PARAMS)
+            .map(|_| rng.uniform_range(-3.0, 3.0))
+            .collect();
+        h.amps(c.compile().execute(&params).amplitudes());
+    }
+    pin("compiled_states_1_to_15_qubits", h.0, 0xff2a_76cc_7598_d6ab);
+}
+
+#[test]
+fn qaoa_energy_and_gradient() {
+    let edges = [
+        (0, 1),
+        (1, 2),
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 0),
+        (0, 3),
+        (1, 4),
+    ];
+    let cost = maxcut_hamiltonian(6, &edges);
+    let qaoa = Qaoa::new(6, cost.clone(), 3);
+    let params = [0.41, -0.77, 1.13, 0.29, -0.58, 0.95];
+    let sim = Simulator::new();
+    let engine = GradientEngine::new(qaoa.circuit(), &sim);
+    let (value, grad) = engine.value_and_gradient(&sim, &params, &cost);
+    let mut h = Print::new();
+    h.f64(qaoa.expectation(&params)).f64(value).f64s(&grad);
+    pin("qaoa_energy_and_gradient", h.0, 0x0bc4_c5e3_36e3_faa9);
+}
+
+#[test]
+fn vqe_energy() {
+    let vqe = Vqe::new(
+        transverse_field_ising(6, 1.0, 0.7),
+        hardware_efficient(6, 2, Entanglement::Ring),
+    );
+    let mut rng = Rng64::new(140);
+    let params: Vec<f64> = (0..36).map(|_| rng.uniform_range(-3.0, 3.0)).collect();
+    let mut h = Print::new();
+    h.f64(vqe.energy(&params));
+    pin("vqe_energy", h.0, 0x36b1_1fac_9f2d_fa0d);
+}
+
+#[test]
+fn quantum_kernel_gram() {
+    let mut rng = Rng64::new(150);
+    let xs: Vec<Vec<f64>> = (0..6)
+        .map(|_| (0..5).map(|_| rng.uniform_range(0.0, 3.0)).collect())
+        .collect();
+    let gram = QuantumKernel::new(5, FeatureMap::ZZ { reps: 2 }).gram(&xs);
+    let mut h = Print::new();
+    for row in &gram {
+        h.f64s(row);
+    }
+    pin("quantum_kernel_gram", h.0, 0xcc63_86d2_cb3e_4af5);
 }
