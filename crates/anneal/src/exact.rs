@@ -82,6 +82,71 @@ impl GrayWalk {
         self.energy += sign * contrib;
         self.energy
     }
+
+    /// Whether steps `k..k + 8` form a block: `k ≡ 1 (mod 8)` and
+    /// `k + 7 < total`, which also means `n ≥ 4`.
+    #[inline]
+    fn block_at(k: usize, total: usize) -> bool {
+        k % 8 == 1 && k + 7 < total
+    }
+
+    /// Takes the eight Gray steps `k..k + 8` of a block and returns their
+    /// energies in step order, each bit-identical to [`GrayWalk::step`].
+    ///
+    /// The steps flip bits 0, 1, 0, 2, 0, 1, 0 and then
+    /// `i = trailing_zeros(k + 7) ≥ 3`, so the eight folds see masks that
+    /// differ from the current one only at bits 0, 1 and 2. Each fold
+    /// takes its own `j < 3` terms, then one loop over `j ≥ 3` feeds all
+    /// eight: every fold still adds its terms in increasing `j`, but the
+    /// eight add chains run side by side instead of one after another.
+    #[inline]
+    fn block(&mut self, k: usize) -> [f64; 8] {
+        let n = self.n;
+        let i = (k + 7).trailing_zeros() as usize;
+        let (m0, m1, m2, mi) = (self.mask[0], self.mask[1], self.mask[2], self.mask[i]);
+        // Bits 0–2 after their flip: exact, as in `step`.
+        let (f0, f1, f2) = (1.0 - m0, 1.0 - m1, 1.0 - m2);
+        let r0 = &self.rows[..n];
+        let r1 = &self.rows[n..2 * n];
+        let r2 = &self.rows[2 * n..3 * n];
+        let ri = &self.rows[i * n..(i + 1) * n];
+        let head = |row: &[f64], i: usize, x: [f64; 3]| {
+            self.diag[i] + row[0] * x[0] + row[1] * x[1] + row[2] * x[2]
+        };
+        // Fold t sees bits 0–2 of the current mask with Gray code t
+        // applied: the flips of the t steps before it.
+        let mut acc = [
+            head(r0, 0, [m0, m1, m2]),
+            head(r1, 1, [f0, m1, m2]),
+            head(r0, 0, [f0, f1, m2]),
+            head(r2, 2, [m0, f1, m2]),
+            head(r0, 0, [m0, f1, f2]),
+            head(r1, 1, [f0, f1, f2]),
+            head(r0, 0, [f0, m1, f2]),
+            head(ri, i, [m0, m1, f2]),
+        ];
+        let rest = r0[3..].iter().zip(&r1[3..]).zip(&r2[3..]).zip(&ri[3..]);
+        for ((((w0, w1), w2), wi), m) in rest.zip(&self.mask[3..]) {
+            acc[0] += w0 * m;
+            acc[1] += w1 * m;
+            acc[2] += w0 * m;
+            acc[3] += w2 * m;
+            acc[4] += w0 * m;
+            acc[5] += w1 * m;
+            acc[6] += w0 * m;
+            acc[7] += wi * m;
+        }
+        // Each step's flipped bit as its fold saw it, for the sign.
+        let before = [m0, m1, f0, m2, m0, f1, f0, mi];
+        let mut energies = [0.0; 8];
+        for ((e, x), contrib) in energies.iter_mut().zip(before).zip(acc) {
+            self.energy += (1.0 - 2.0 * x) * contrib;
+            *e = self.energy;
+        }
+        self.mask[2] = f2;
+        self.mask[i] = 1.0 - mi;
+        energies
+    }
 }
 
 /// The assignment the Gray walk holds after step `k` (step 0 = start).
@@ -100,11 +165,15 @@ pub fn solve_exact(qubo: &Qubo) -> ExactSolution {
 /// proposal, so a proposal bound stops the walk after exactly that many
 /// steps — deterministic regardless of thread count (the walk is
 /// serial). Deadline/cancel are polled every [`EXACT_POLL_STRIDE`]
-/// steps. Returns the best-of-enumerated solution plus `true` when a
-/// bound cut the walk short — a cut walk's `energy`/`bits` are still
-/// exact for the prefix visited, but `degeneracy` only counts visited
-/// optima and the result may not be the global optimum. The solution's
-/// `proposals` counts the steps actually taken, however the walk ended.
+/// steps. Steps run eight to a block (`GrayWalk::block`) except where
+/// a block would hold a poll point, outrun the proposal bound or pass
+/// the walk's end: there they run one at a time, so every walk stops
+/// exactly where the one-step walk stops. Returns the best-of-enumerated
+/// solution plus `true` when a bound cut the walk short — a cut walk's
+/// `energy`/`bits` are still exact for the prefix visited, but
+/// `degeneracy` only counts visited optima and the result may not be the
+/// global optimum. The solution's `proposals` counts the steps actually
+/// taken, however the walk ended.
 pub fn solve_exact_with_budget(qubo: &Qubo, budget: &Budget) -> (ExactSolution, bool) {
     let n = qubo.n();
     assert!(n <= 26, "exhaustive enumeration over {n} variables refused");
@@ -115,11 +184,7 @@ pub fn solve_exact_with_budget(qubo: &Qubo, budget: &Budget) -> (ExactSolution, 
     let mut best_step = 0usize;
     let mut degeneracy = 1usize;
     let total = 1usize << n;
-    for k in 1..total {
-        if (k % EXACT_POLL_STRIDE == 0 && meter.interrupted()) || !meter.try_propose() {
-            break;
-        }
-        let energy = walk.step(k);
+    let mut visit = |k: usize, energy: f64| {
         if energy < best - 1e-12 {
             best = energy;
             best_step = k;
@@ -127,6 +192,23 @@ pub fn solve_exact_with_budget(qubo: &Qubo, budget: &Budget) -> (ExactSolution, 
         } else if (energy - best).abs() <= 1e-12 {
             degeneracy += 1;
         }
+    };
+    let mut k = 1;
+    while k < total {
+        // A block's only possible poll point is its last step, k + 7.
+        if GrayWalk::block_at(k, total) && (k + 7) % EXACT_POLL_STRIDE != 0 && meter.try_consume(8)
+        {
+            for (step, energy) in (k..).zip(walk.block(k)) {
+                visit(step, energy);
+            }
+            k += 8;
+            continue;
+        }
+        if (k % EXACT_POLL_STRIDE == 0 && meter.interrupted()) || !meter.try_propose() {
+            break;
+        }
+        visit(k, walk.step(k));
+        k += 1;
     }
     (
         ExactSolution {
@@ -151,7 +233,16 @@ pub fn spectrum(qubo: &Qubo) -> Vec<f64> {
     let mut walk = GrayWalk::new(qubo);
     let mut energies = Vec::with_capacity(total);
     energies.push(walk.energy);
-    energies.extend((1..total).map(|k| walk.step(k)));
+    let mut k = 1;
+    while k < total {
+        if GrayWalk::block_at(k, total) {
+            energies.extend(walk.block(k));
+            k += 8;
+        } else {
+            energies.push(walk.step(k));
+            k += 1;
+        }
+    }
     energies.sort_by(|a, b| a.partial_cmp(b).unwrap());
     energies
 }
@@ -159,6 +250,7 @@ pub fn spectrum(qubo: &Qubo) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::CancelToken;
     use qmldb_math::{check, Rng64};
 
     /// The walk as it was before [`GrayWalk`]: `Qubo::delta_energy` on a
@@ -242,18 +334,24 @@ mod tests {
                 for style in 0..3 {
                     let q = oracle_model(rng, n, style);
                     let full = (1u64 << n) - 1;
-                    let caps = [
-                        None,
-                        Some(0),
-                        Some(1),
-                        Some(100),
-                        Some(full.saturating_sub(1)),
+                    // Every residue mod 8 (a cap may end a walk at any
+                    // position of a block), both sides of the first poll
+                    // point, and the walk's last steps.
+                    let caps = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 100]
+                        .into_iter()
+                        .chain(4087..=4105)
+                        .chain(full.saturating_sub(9)..full)
+                        .map(Budget::proposals);
+                    let cancelled = CancelToken::new();
+                    cancelled.cancel();
+                    let budgets = [
+                        Budget::unlimited(),
+                        Budget::unlimited().with_cancel(cancelled),
                     ];
-                    for cap in caps {
-                        let budget = cap.map_or_else(Budget::unlimited, Budget::proposals);
+                    for budget in budgets.into_iter().chain(caps) {
                         let (got, got_cut) = solve_exact_with_budget(&q, &budget);
                         let (want, want_cut) = oracle_exact(&q, &budget);
-                        let case = format!("n={n} style={style} cap={cap:?}");
+                        let case = format!("n={n} style={style} budget={budget:?}");
                         assert_eq!(got.bits, want.bits, "{case}");
                         assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "{case}");
                         assert_eq!(got.degeneracy, want.degeneracy, "{case}");
@@ -350,7 +448,6 @@ mod tests {
         assert!(a.energy >= full.energy - 1e-12);
 
         // A pre-cancelled budget returns the all-false start state.
-        use crate::budget::CancelToken;
         let token = CancelToken::new();
         token.cancel();
         let (cut, was_cut) = solve_exact_with_budget(&q, &Budget::proposals(0).with_cancel(token));

@@ -1,11 +1,13 @@
-//! The Metropolis acceptance test shared by SA, SQA and tempering.
+//! The Metropolis acceptance test shared by SA, SQA, tempering and the
+//! sharded annealer.
 //!
 //! Every thermal move in this crate is accepted by
 //! `d <= 0.0 || rng.chance((-d / temp).exp())`: downhill moves always,
-//! uphill moves with the Boltzmann probability. [`Metropolis::accept`]
-//! returns exactly that decision, bit for bit and with the same draws,
-//! but calls `exp` only when the answer actually depends on its last
-//! bits.
+//! uphill moves with the Boltzmann probability. A [`Gate`], built once
+//! per temperature by [`Metropolis::gate`], returns exactly that
+//! decision, bit for bit and with the same draws, but calls `exp` only
+//! when the answer actually depends on its last bits, and skips even the
+//! divide and the table lookup for moves too far uphill to pass.
 //!
 //! # The bracket
 //!
@@ -49,7 +51,28 @@
 //!   `1 + 10⁻¹²` exceeds every draw, and any other `u` falls through to
 //!   the exact `u < exp(x)`.
 //!
-//! So the function reproduces the old decision for every `(d, temp, u)`;
+//! # The cutoff
+//!
+//! Most uphill proposals of a cold anneal land in the last cell, where
+//! only `u == 0.0` can accept. [`Metropolis::gate`] precomputes
+//! `cutoff = 38·temp·(1 + 10⁻¹⁵)` for a `temp > 0`:
+//!
+//! * for every `temp > 0` — subnormal, normal or near `f64::MAX` — the
+//!   computed cutoff is at least the real `38·temp` (DESIGN.md gives the
+//!   rounding argument), so `d ≥ cutoff` gives `d/temp ≥ 38`, hence
+//!   `fl(d/temp) ≥ 38` and `x ≤ −38`: the last cell;
+//! * there a nonzero draw rejects, so the gate answers
+//!   `u == 0.0 && u < exp(x)`, the old comparison for the one draw that
+//!   needs it, without computing `x` for any other draw;
+//! * for `temp ≤ 0`, `−0.0` or NaN the cutoff is NaN, which no `d`
+//!   passes, so every move takes the bracket. A cutoff of +∞ would send
+//!   `d = +∞` past it, and at a negative or `−0.0` temperature that move
+//!   accepts every draw (`exp(+∞) = +∞`).
+//!
+//! The draw is taken before the cutoff test, so the streams stay in
+//! step with the old test.
+//!
+//! So a gate reproduces the old decision for every `(d, temp, u)`;
 //! `tests/metropolis_oracle.rs` checks it bit for bit on seeded and edge
 //! inputs.
 
@@ -59,11 +82,18 @@ use std::sync::OnceLock;
 /// Grid points per unit of `x`.
 const STEPS: f64 = 16.0;
 
-/// Grid cells from 0 down to the cutoff `x = −38`.
+/// Grid cells from 0 down to `x = −38`.
 const CELLS: usize = 38 * 16;
 
 /// Relative margin on each bound; covers any libm error below 5·10⁻¹³.
 const MARGIN: f64 = 1e-12;
+
+/// The last cell's edge: `x ≤ −38` lands in cell [`CELLS`].
+const X_CUT: f64 = CELLS as f64 / STEPS;
+
+/// Relative margin that lifts the rounded `38·temp` to at least its real
+/// value, for every `temp > 0`.
+const CUTOFF_MARGIN: f64 = 1e-15;
 
 /// The bracket table: `[lo, hi]` bounds of `exp` per grid cell, plus one
 /// cell for `x ≤ −38` and NaN.
@@ -81,23 +111,26 @@ impl Metropolis {
                 b[0] = (-((c + 1) as f64) / STEPS).exp() * (1.0 - MARGIN);
                 b[1] = (-(c as f64) / STEPS).exp() * (1.0 + MARGIN);
             }
-            // Below the cutoff every nonzero draw rejects; `u == 0.0`
+            // At `x ≤ −38` every nonzero draw rejects; `u == 0.0`
             // (and a NaN `x`) falls through to `exp`.
             bounds[CELLS] = [0.0, 1.0 / (1u64 << 53) as f64];
             Metropolis { bounds }
         })
     }
 
-    /// `d <= 0.0 || rng.chance((-d / temp).exp())`, with the same draws.
-    #[inline]
-    pub fn accept(&self, d: f64, temp: f64, rng: &mut Rng64) -> bool {
-        d <= 0.0 || self.below_exp(-d / temp, rng.uniform())
-    }
-
-    /// The decision [`Metropolis::accept`] makes for a given draw `u`:
-    /// `d <= 0.0 || u < (-d / temp).exp()`. `u` is ignored when `d <= 0.0`.
-    pub fn decide(&self, d: f64, temp: f64, u: f64) -> bool {
-        d <= 0.0 || self.below_exp(-d / temp, u)
+    /// The acceptance test at temperature `temp`: build one per
+    /// temperature, outside the proposal loop.
+    pub fn gate(&self, temp: f64) -> Gate<'_> {
+        let cutoff = if temp > 0.0 {
+            X_CUT * temp * (1.0 + CUTOFF_MARGIN)
+        } else {
+            f64::NAN
+        };
+        Gate {
+            table: self,
+            temp,
+            cutoff,
+        }
     }
 
     /// `u < x.exp()`, calling `exp` only when the bracket cannot decide.
@@ -107,12 +140,91 @@ impl Metropolis {
     /// (`exp(x) ≥ 1 > u` can only be left undecided, never misjudged).
     #[inline]
     fn below_exp(&self, x: f64, u: f64) -> bool {
-        let cell = ((-STEPS * x).min(CELLS as f64) as i32).max(0);
-        let [lo, hi] = self.bounds[cell as usize];
+        let [lo, hi] = self.bounds[cell(x)];
         let sure = u < lo;
         if !sure & (u < hi) {
             return u < x.exp();
         }
         sure
+    }
+}
+
+/// The table cell of `x`: `⌊−16·x⌋` clamped to `0..=CELLS`, with NaN in
+/// the last cell.
+#[inline]
+fn cell(x: f64) -> usize {
+    ((-STEPS * x).min(CELLS as f64) as i32).max(0) as usize
+}
+
+/// The Metropolis test at one temperature, from [`Metropolis::gate`].
+#[derive(Clone, Copy)]
+pub struct Gate<'a> {
+    table: &'a Metropolis,
+    temp: f64,
+    /// Every `d ≥ cutoff` lands in the last cell; NaN when `temp` is not
+    /// positive, so no `d` does.
+    cutoff: f64,
+}
+
+impl Gate<'_> {
+    /// `d <= 0.0 || rng.chance((-d / temp).exp())`, with the same draws.
+    #[inline]
+    pub fn accept(&self, d: f64, rng: &mut Rng64) -> bool {
+        d <= 0.0 || self.uphill(d, rng.uniform())
+    }
+
+    /// The decision [`Gate::accept`] makes for a given draw `u`:
+    /// `d <= 0.0 || u < (-d / temp).exp()`. `u` is ignored when `d <= 0.0`.
+    pub fn decide(&self, d: f64, u: f64) -> bool {
+        d <= 0.0 || self.uphill(d, u)
+    }
+
+    /// `u < (-d / temp).exp()` for a `d` that is not `<= 0.0`.
+    #[inline]
+    fn uphill(&self, d: f64, u: f64) -> bool {
+        if d >= self.cutoff {
+            // The last cell: only a zero draw can accept.
+            return u == 0.0 && u < (-d / self.temp).exp();
+        }
+        self.table.below_exp(-d / self.temp, u)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The ground of the gate's exactness: `d = cutoff`, the smallest `d`
+    /// the gate keeps from the bracket, gives `fl(d/temp) ≥ 38`, so it
+    /// lands in the last cell at every positive temperature.
+    #[test]
+    fn the_cutoff_lands_in_the_last_cell() {
+        let m = Metropolis::get();
+        let mut rng = Rng64::new(0x3e80);
+        let mut temps = vec![
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MAX / 38.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for _ in 0..100_000 {
+            // Every positive bit pattern: subnormal, normal and huge.
+            temps.push(f64::from_bits(rng.next_u64() >> 1));
+            temps.push(10f64.powf(rng.uniform_range(-3.0, 1.0)));
+        }
+        for temp in temps.into_iter().filter(|t| *t > 0.0) {
+            let gate = m.gate(temp);
+            assert_eq!(
+                cell(-gate.cutoff / temp),
+                CELLS,
+                "temp = {temp:e} ({:#x}), cutoff = {:e}",
+                temp.to_bits(),
+                gate.cutoff
+            );
+        }
+        for temp in [0.0, -0.0, -1.0, f64::NEG_INFINITY, f64::NAN] {
+            assert!(m.gate(temp).cutoff.is_nan(), "temp = {temp}");
+        }
     }
 }

@@ -35,6 +35,7 @@ use crate::csr::CsrAdjacency;
 use crate::device::DeviceConfig;
 use crate::field::IsingFields;
 use crate::ising::{spins_to_bits, Ising};
+use crate::metropolis::Metropolis;
 use crate::sparse::SparseQubo;
 use qmldb_math::{par, Rng64};
 
@@ -664,12 +665,14 @@ fn run_shard(
         })
         .collect();
     let mut proposals = 0u64;
+    let metropolis = Metropolis::get();
     let mut temp = t0;
     for _ in 0..sweeps {
+        let gate = metropolis.gate(temp);
         for i in 0..m {
             proposals += 1;
             let d = -2.0 * ls[i] as f64 * f[i];
-            if d <= 0.0 || rng.chance((-d / temp).exp()) {
+            if gate.accept(d, rng) {
                 ls[i] = -ls[i];
                 let step = 2.0 * ls[i] as f64;
                 let (targets, weights) = shard.adj.row(i);

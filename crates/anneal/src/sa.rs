@@ -59,29 +59,34 @@ pub struct AnnealResult {
 
 /// Merges independent restart results in restart order (first strict
 /// improvement wins, matching the serial loop's semantics). Shared by
-/// SA and SQA, and by callers that run restarts themselves.
-pub fn merge_restarts(runs: Vec<AnnealResult>) -> AnnealResult {
-    let mut best_spins = Vec::new();
-    let mut best_energy = f64::INFINITY;
-    let mut best_trace = Vec::new();
-    let mut proposals = 0u64;
-    let mut exhausted = false;
-    for run in runs {
-        proposals += run.proposals;
-        exhausted |= run.exhausted;
-        if run.energy < best_energy {
-            best_energy = run.energy;
-            best_spins = run.spins;
-            best_trace = run.trace;
-        }
-    }
+/// SA and SQA, and by callers that run restarts themselves. When no
+/// restart's energy is below +∞ (all NaN or +∞), the first restart
+/// stands, so the merge never returns an empty state. Panics when
+/// `runs` is empty.
+pub fn merge_restarts(mut runs: Vec<AnnealResult>) -> AnnealResult {
+    let proposals = runs.iter().map(|r| r.proposals).sum();
+    let exhausted = runs.iter().any(|r| r.exhausted);
+    let best = first_strict_best(runs.iter().map(|r| r.energy));
+    let best = runs.swap_remove(best);
     AnnealResult {
-        spins: best_spins,
-        energy: best_energy,
-        trace: best_trace,
         proposals,
         exhausted,
+        ..best
     }
+}
+
+/// The index of the first strict improvement on +∞ over `energies`, in
+/// order, or 0 when none beats +∞.
+pub(crate) fn first_strict_best(energies: impl Iterator<Item = f64>) -> usize {
+    let mut best = 0;
+    let mut best_energy = f64::INFINITY;
+    for (i, e) in energies.enumerate() {
+        if e < best_energy {
+            best_energy = e;
+            best = i;
+        }
+    }
+    best
 }
 
 /// Runs simulated annealing and returns the best configuration seen.
@@ -148,12 +153,13 @@ pub fn sa_restart(
         if meter.interrupted() {
             break 'anneal;
         }
+        let gate = metropolis.gate(temp);
         for i in 0..model.n() {
             if !meter.try_propose() {
                 break 'anneal;
             }
             let d = fields.delta_flip(&s, i);
-            if metropolis.accept(d, temp, &mut rng) {
+            if gate.accept(d, &mut rng) {
                 fields.apply_flip(model, &mut s, i);
                 energy += d;
                 if energy < run_best {
@@ -351,5 +357,40 @@ mod tests {
         assert!(r.exhausted);
         assert_eq!(r.spins.len(), 8);
         assert!((m.energy(&r.spins) - r.energy).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restarts_that_all_overflow_still_return_spins() {
+        // Finite QUBO coefficients near f64::MAX give an Ising offset of
+        // +∞, so every state's energy is +∞ and no restart beats the
+        // merge's +∞ start. The first restart stands.
+        let n = 4;
+        let mut q = crate::qubo::Qubo::new(n);
+        q.add_offset(f64::MAX);
+        for i in 0..n {
+            q.add_linear(i, f64::MAX);
+        }
+        let m = q.to_ising();
+        let p = SaParams {
+            sweeps: 5,
+            restarts: 3,
+            ..SaParams::default()
+        };
+        let r = simulated_annealing(&m, &p, &mut Rng64::new(929));
+        assert_eq!(m.energy(&r.spins), r.energy);
+        assert_eq!(r.energy, f64::INFINITY);
+        let first = sa_restart(&m, &p, &Budget::unlimited(), 0, &mut Rng64::new(929).fork());
+        assert_eq!(r.spins, first.spins);
+        let r = crate::sqa::simulated_quantum_annealing(
+            &m,
+            &crate::sqa::SqaParams {
+                replicas: 3,
+                sweeps: 5,
+                restarts: 3,
+                ..crate::sqa::SqaParams::default()
+            },
+            &mut Rng64::new(931),
+        );
+        assert_eq!(m.energy(&r.spins), r.energy);
     }
 }

@@ -100,7 +100,8 @@ pub fn sqa_restart(
     let gamma_start = params.gamma_start_factor * scale;
     let gamma_end = params.gamma_end_factor * scale;
     let gamma_decay = (gamma_end / gamma_start).powf(1.0 / params.sweeps.max(2) as f64);
-    let metropolis = Metropolis::get();
+    // The temperature is fixed for the whole restart: one gate serves it.
+    let gate = Metropolis::get().gate(temp);
     let mut meter = BudgetMeter::for_unit(budget, params.restarts.max(1), idx);
     // The replica stack is flat: spins[k·n + i] is spin i of Trotter
     // slice k, and fields[k·n + i] is its cached local field.
@@ -154,7 +155,7 @@ pub fn sqa_restart(
                 let s_nb = neighbours[i] as f64;
                 let d_quantum = two_j_perp * s_k * s_nb;
                 let d = d_classical + d_quantum;
-                if metropolis.accept(d, temp, &mut rng) {
+                if gate.accept(d, &mut rng) {
                     ising_flip(model, s_row, f_row, i);
                     energies[k] += d_model;
                 }

@@ -11,6 +11,7 @@
 use crate::budget::{Budget, BudgetMeter};
 use crate::field::QuboFields;
 use crate::qubo::Qubo;
+use crate::sa::first_strict_best;
 use qmldb_math::{par, Rng64};
 
 /// Tabu-search parameters.
@@ -79,28 +80,20 @@ pub fn tabu_search_with_budget(
 }
 
 /// Merges restart results in restart order: flips and proposals add up,
-/// and the first strict improvement wins.
-pub fn merge_tabu_restarts(runs: Vec<TabuResult>) -> TabuResult {
-    let mut best_bits = Vec::new();
-    let mut best_energy = f64::INFINITY;
-    let mut flips = 0u64;
-    let mut proposals = 0u64;
-    let mut exhausted = false;
-    for run in runs {
-        flips += run.flips;
-        proposals += run.proposals;
-        exhausted |= run.exhausted;
-        if run.energy < best_energy {
-            best_energy = run.energy;
-            best_bits = run.bits;
-        }
-    }
+/// and the first strict improvement wins. When no restart's energy is
+/// below +∞ (all NaN or +∞), the first restart stands, so the merge
+/// never returns empty bits. Panics when `runs` is empty.
+pub fn merge_tabu_restarts(mut runs: Vec<TabuResult>) -> TabuResult {
+    let flips = runs.iter().map(|r| r.flips).sum();
+    let proposals = runs.iter().map(|r| r.proposals).sum();
+    let exhausted = runs.iter().any(|r| r.exhausted);
+    let best = first_strict_best(runs.iter().map(|r| r.energy));
+    let best = runs.swap_remove(best);
     TabuResult {
-        bits: best_bits,
-        energy: best_energy,
         flips,
         proposals,
         exhausted,
+        ..best
     }
 }
 
@@ -289,5 +282,28 @@ mod tests {
         let mut rng = Rng64::new(1205);
         let r = tabu_search(&q, &TabuParams::default(), &mut rng);
         assert!((q.energy(&r.bits) - r.energy).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restarts_that_all_overflow_still_return_bits() {
+        // Finite coefficients near f64::MAX: any assignment with a bit
+        // set overflows to +∞, and so does the running energy of every
+        // walk that starts there, so no restart beats the merge's +∞
+        // start. The first restart stands.
+        let n = 8;
+        let mut q = Qubo::new(n);
+        q.add_offset(f64::MAX);
+        for i in 0..n {
+            q.add_linear(i, f64::MAX);
+        }
+        let p = TabuParams {
+            iters: 20,
+            restarts: 3,
+            ..TabuParams::default()
+        };
+        let r = tabu_search(&q, &p, &mut Rng64::new(1207));
+        assert_eq!(r.bits.len(), n);
+        assert_eq!(q.energy(&r.bits), r.energy);
+        assert_eq!(r.energy, f64::INFINITY);
     }
 }

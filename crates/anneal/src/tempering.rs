@@ -101,7 +101,10 @@ pub fn parallel_tempering_with_budget(
     let mut best = chains[0].s.clone();
     let mut best_energy = chains[0].energy;
     let mut trace = Vec::with_capacity(sweeps);
+    // Temperatures stay with their ladder index while chains swap, so
+    // one gate per rung serves the whole run.
     let metropolis = Metropolis::get();
+    let gates: Vec<_> = temps.iter().map(|&t| metropolis.gate(t)).collect();
 
     for _ in 0..sweeps {
         // A sweep costs chains × n proposals; refuse it whole when the
@@ -115,11 +118,11 @@ pub fn parallel_tempering_with_budget(
         // when its energy drops below the best so far: the state the
         // chain first reaches its sweep minimum at, exactly when that
         // minimum beats every earlier chain's.
-        for (c, chain) in chains.iter_mut().enumerate() {
+        for (chain, gate) in chains.iter_mut().zip(&gates) {
             let mut chain_rng = rng.fork();
             for i in 0..n {
                 let d = chain.fields.delta_flip(&chain.s, i);
-                if metropolis.accept(d, temps[c], &mut chain_rng) {
+                if gate.accept(d, &mut chain_rng) {
                     chain.fields.apply_flip(model, &mut chain.s, i);
                     chain.energy += d;
                     if chain.energy < best_energy {

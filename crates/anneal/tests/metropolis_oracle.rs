@@ -1,12 +1,13 @@
 //! Bitwise oracle for the shared Metropolis test.
 //!
-//! [`Metropolis::decide`] must return exactly
+//! A gate from [`Metropolis::gate`] must return exactly
 //! `d <= 0.0 || u < (-d / temp).exp()` for every input, because every
 //! annealer's output bits depend on it. These cases compare the two on
-//! seeded inputs and on the edges of the bracket argument in
+//! seeded inputs and on the edges of the bracket and cutoff arguments in
 //! `qmldb_anneal::metropolis`: every grid point and its neighbouring
-//! ulps, the `x ≤ −38` cutoff, the extreme draws, and non-finite or
-//! degenerate `d` and `temp`.
+//! ulps, the `x ≤ −38` cell, the gate's cutoff and its neighbouring
+//! ulps at normal, subnormal, huge and degenerate temperatures, the
+//! extreme draws, and non-finite or degenerate `d` and `temp`.
 
 use qmldb_anneal::Metropolis;
 use qmldb_math::Rng64;
@@ -32,7 +33,7 @@ fn draws_around(p: f64) -> [f64; 2] {
 
 fn check(m: &Metropolis, d: f64, temp: f64, u: f64) {
     assert_eq!(
-        m.decide(d, temp, u),
+        m.gate(temp).decide(d, u),
         oracle(d, temp, u),
         "d = {d:e} ({:#x}), temp = {temp:e}, u = {u:e}",
         d.to_bits()
@@ -155,23 +156,89 @@ fn matches_on_degenerate_d_and_temp() {
     }
 }
 
+/// The gate's cutoff at a positive `temp`, computed as the gate does.
+fn cutoff(temp: f64) -> f64 {
+    38.0 * temp * (1.0 + 1e-15)
+}
+
+/// `x` moved `k` ulps up (`k > 0`) or down along the positive floats.
+fn ulps(x: f64, k: i64) -> f64 {
+    f64::from_bits((x.to_bits() as i64 + k) as u64)
+}
+
+#[test]
+fn gate_matches_at_and_around_the_cutoff() {
+    let m = Metropolis::get();
+    let mut rng = Rng64::new(0x3e7f);
+    let tiny = f64::from_bits(1);
+    let mut temps = vec![
+        tiny,
+        f64::from_bits(3),
+        f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 38.0,
+        1e-300,
+        1e-3,
+        0.05,
+        1.0,
+        1e300,
+        f64::MAX / 38.0,
+        ulps(f64::MAX / 38.0, 1),
+        ulps(f64::MAX / 38.0, -1),
+        f64::MAX / 37.0,
+        f64::MAX,
+        f64::INFINITY,
+        0.0,
+        -0.0,
+        -1.0,
+        f64::NAN,
+    ];
+    for _ in 0..2_000 {
+        temps.push(10f64.powf(rng.uniform_range(-3.0, 1.0)));
+    }
+    // Subnormal temperatures, whose 38·temp is exact or rounds once.
+    for _ in 0..500 {
+        temps.push(f64::from_bits(rng.next_u64() >> 12));
+    }
+    for &temp in &temps {
+        let mut ds = vec![1.0, f64::MAX, f64::INFINITY, f64::NAN];
+        if temp > 0.0 && temp.is_finite() {
+            for base in [cutoff(temp), 38.0 * temp] {
+                if base.is_finite() {
+                    ds.extend((-4..=4).map(|k| ulps(base, k)));
+                }
+            }
+        }
+        for d in ds {
+            let p = (-d / temp).exp();
+            let mut us = vec![U_MIN, 1.0 / (1u64 << 53) as f64, 0.5, U_MAX];
+            us.extend(draws_around(p));
+            for u in us {
+                check(m, d, temp, u);
+            }
+        }
+    }
+}
+
 #[test]
 fn accept_draws_exactly_when_the_exp_test_did() {
     // `accept` draws only for a `d` that is not `<= 0.0`, as
-    // `d <= 0.0 || rng.chance(..)` did: the streams must stay in step.
+    // `d <= 0.0 || rng.chance(..)` did: the streams must stay in step,
+    // on both sides of the cutoff.
     let m = Metropolis::get();
     let mut a = Rng64::new(0x3e7d);
     let mut b = Rng64::new(0x3e7d);
     let mut gen = Rng64::new(0x3e7e);
     for i in 0..50_000 {
+        let temp = gen.uniform_range(0.05, 2.0);
         let d = match i % 7 {
             0 => 0.0,
             1 => f64::NAN,
             2 => -gen.uniform(),
+            3 => gen.uniform_range(30.0, 60.0) * temp,
             _ => gen.uniform_range(-1.0, 8.0),
         };
-        let temp = gen.uniform_range(0.05, 2.0);
-        let new = m.accept(d, temp, &mut a);
+        let new = m.gate(temp).accept(d, &mut a);
         let old = d <= 0.0 || b.chance((-d / temp).exp());
         assert_eq!(new, old, "step {i}: d = {d}, temp = {temp}");
     }

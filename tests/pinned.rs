@@ -14,10 +14,11 @@
 //! `cargo test --test pinned -- --nocapture`: a failing row prints the
 //! fingerprint it computed.
 
+use qmldb::anneal::exact::spectrum;
 use qmldb::anneal::{
-    fnv1a, parallel_tempering, simulated_annealing, simulated_quantum_annealing, tabu_search,
-    AnnealResult, Budget, CancelToken, Ising, Qubo, SaParams, SqaParams, TabuParams,
-    TemperingParams, FNV_OFFSET,
+    fnv1a, parallel_tempering, sharded_anneal, simulated_annealing, simulated_quantum_annealing,
+    solve_exact_with_budget, tabu_search, AnnealResult, Budget, CancelToken, ExactSolution, Ising,
+    Qubo, SaParams, ShardedParams, SqaParams, TabuParams, TemperingParams, FNV_OFFSET,
 };
 use qmldb::db::instances::{IndexParams, InstanceGenerator, JoinOrderParams, MqoParams, TxParams};
 use qmldb::db::{Portfolio, PortfolioOutcome, QuboProblem, Solver, Topology};
@@ -399,6 +400,131 @@ fn escalating_solve() {
         outcome_print(&p, &out, &mut rng),
         0x5cf7_fb33_5e4b_779d,
     );
+}
+
+/// A seeded `n`-variable QUBO with an offset, real linear terms and a
+/// 60%-dense real coupling matrix.
+fn random_qubo(n: usize, seed: u64) -> Qubo {
+    let mut rng = Rng64::new(seed);
+    let mut q = Qubo::new(n);
+    q.add_offset(rng.uniform_range(-1.0, 1.0));
+    for i in 0..n {
+        q.add_linear(i, rng.uniform_range(-2.0, 2.0));
+        for j in (i + 1)..n {
+            if rng.chance(0.6) {
+                q.add(i, j, rng.uniform_range(-2.0, 2.0));
+            }
+        }
+    }
+    q
+}
+
+/// The exact walk's answer: bits, energy, degeneracy, proposals and the
+/// cut flag.
+fn exact_print(h: &mut Print, (sol, cut): (ExactSolution, bool)) {
+    h.bits(&sol.bits)
+        .f64(sol.energy)
+        .u64(sol.degeneracy as u64)
+        .u64(sol.proposals)
+        .u64(cut as u64);
+}
+
+#[test]
+fn exact_walks_3_16_19_variables() {
+    // A random 3-variable model, the 16-variable join-order and the
+    // 19-variable index-selection encodings (penalty-built, so their
+    // spectra carry ties the degeneracy count sees).
+    let jo = join_order(&mut Rng64::new(20));
+    let ix = index(&mut Rng64::new(21));
+    let mut h = Print::new();
+    for q in [
+        random_qubo(3, 160),
+        jo.encode_with_constraints(jo.auto_penalty()).0,
+        ix.encode_with_constraints(ix.auto_penalty()).0,
+    ] {
+        exact_print(&mut h, solve_exact_with_budget(&q, &Budget::unlimited()));
+    }
+    pin("exact_walks_3_16_19_variables", h.0, 0x6d0d_3ecf_b927_7ce2);
+}
+
+#[test]
+fn exact_walk_proposal_caps() {
+    // Caps at every residue mod 8 (a walk may stop inside any position
+    // of a block of eight steps), around the 4096-step poll stride, and
+    // up to a 3-variable model's full walk.
+    let q = random_qubo(16, 161);
+    let mut h = Print::new();
+    for cap in [
+        0, 1, 2, 3, 4, 5, 998, 999, 1000, 1001, 4095, 4096, 4097, 65534,
+    ] {
+        exact_print(&mut h, solve_exact_with_budget(&q, &Budget::proposals(cap)));
+    }
+    let small = random_qubo(3, 162);
+    for cap in 0..=8 {
+        exact_print(
+            &mut h,
+            solve_exact_with_budget(&small, &Budget::proposals(cap)),
+        );
+    }
+    pin("exact_walk_proposal_caps", h.0, 0x2f5d_7d88_695a_e98a);
+}
+
+#[test]
+fn exact_walk_cancelled_unlimited() {
+    // No proposal bound: a cancelled token stops the walk at its first
+    // poll point, after 4095 steps.
+    let token = CancelToken::new();
+    token.cancel();
+    let q = random_qubo(16, 163);
+    let (sol, cut) = solve_exact_with_budget(&q, &Budget::unlimited().with_cancel(token));
+    assert!(cut);
+    assert_eq!(sol.proposals, 4095);
+    let mut h = Print::new();
+    exact_print(&mut h, (sol, cut));
+    pin("exact_walk_cancelled_unlimited", h.0, 0xdd6c_6ec0_3763_8248);
+}
+
+#[test]
+fn exact_spectrum() {
+    let mut h = Print::new();
+    for (n, seed) in [(1, 164), (2, 165), (3, 166), (12, 167)] {
+        h.f64s(&spectrum(&random_qubo(n, seed)));
+    }
+    pin("exact_spectrum", h.0, 0x161b_af78_4933_f1cb);
+}
+
+#[test]
+fn sharded_anneal_result() {
+    // A 300-spin banded glass cut into shards of at most 40 spins.
+    let mut gen = Rng64::new(168);
+    let n = 300;
+    let mut couplings = Vec::new();
+    for i in 0..n {
+        for d in 1..=4 {
+            if i + d < n && gen.chance(0.6) {
+                couplings.push((i, i + d, gen.uniform_range(-1.0, 1.0)));
+            }
+        }
+    }
+    let fields: Vec<f64> = (0..n).map(|_| gen.uniform_range(-0.5, 0.5)).collect();
+    let model = Ising::new(fields, couplings, 0.0);
+    let params = ShardedParams {
+        max_shard_vars: 40,
+        rounds: 6,
+        ..ShardedParams::default()
+    };
+    let mut rng = Rng64::new(169);
+    let r = sharded_anneal(&model, &params, &mut rng);
+    let mut h = Print::new();
+    h.f64(r.energy)
+        .spins(&r.spins)
+        .u64(r.proposals)
+        .u64(r.n_shards as u64)
+        .f64(r.cut_weight)
+        .f64s(&r.trace)
+        .u64(r.exhausted as u64)
+        .u64(rng.next_u64());
+    pin("sharded_anneal_result", h.0, 0xab1f_07b2_304b_54bb);
 }
 
 /// Free parameters of the seeded circuits below.
