@@ -241,6 +241,24 @@ impl BudgetMeter {
         true
     }
 
+    /// Grants up to `n` proposals at once: all `n` when the share covers
+    /// them, otherwise what is left of it, marking the meter exhausted.
+    /// A loop of `n` proposals that runs the granted ones and then stops
+    /// ends in the same state as one that calls [`Self::try_propose`]
+    /// before each proposal and stops at the first refusal.
+    #[inline]
+    pub fn grant(&mut self, n: u64) -> u64 {
+        let granted = match self.budget.proposals {
+            Some(cap) if cap.saturating_sub(self.used) < n => {
+                self.exhausted = true;
+                cap.saturating_sub(self.used)
+            }
+            _ => n,
+        };
+        self.used += granted;
+        granted
+    }
+
     /// Records work done outside proposal accounting (e.g. greedy polish
     /// passes) without bounding it.
     #[inline]

@@ -70,7 +70,9 @@
 //!   accepts every draw (`exp(+∞) = +∞`).
 //!
 //! The draw is taken before the cutoff test, so the streams stay in
-//! step with the old test.
+//! step with the old test. [`Gate::accept`] tests the cutoff on the raw
+//! 53-bit draw `r` (`u = r·2⁻⁵³`, so `u == 0.0` exactly when `r == 0`)
+//! and converts `r` to `u` only for a move below the cutoff.
 //!
 //! So a gate reproduces the old decision for every `(d, temp, u)`;
 //! `tests/metropolis_oracle.rs` checks it bit for bit on seeded and edge
@@ -170,23 +172,32 @@ impl Gate<'_> {
     /// `d <= 0.0 || rng.chance((-d / temp).exp())`, with the same draws.
     #[inline]
     pub fn accept(&self, d: f64, rng: &mut Rng64) -> bool {
-        d <= 0.0 || self.uphill(d, rng.uniform())
+        d <= 0.0 || self.uphill(d, rng.next_u64() >> 11)
     }
 
-    /// The decision [`Gate::accept`] makes for a given draw `u`:
-    /// `d <= 0.0 || u < (-d / temp).exp()`. `u` is ignored when `d <= 0.0`.
+    /// The decision [`Gate::accept`] makes for the raw 53-bit draw `r`,
+    /// the one behind `u = Rng64::unit(r)`. `r` is ignored when `d <= 0.0`.
+    pub fn decide_raw(&self, d: f64, r: u64) -> bool {
+        d <= 0.0 || self.uphill(d, r)
+    }
+
+    /// The bracket's decision for any `u` in `[0, 1)`, without the
+    /// cutoff: `d <= 0.0 || u < (-d / temp).exp()`. The reference
+    /// [`Gate::decide_raw`] is checked against; `u` is ignored when
+    /// `d <= 0.0`.
     pub fn decide(&self, d: f64, u: f64) -> bool {
-        d <= 0.0 || self.uphill(d, u)
+        d <= 0.0 || self.table.below_exp(-d / self.temp, u)
     }
 
-    /// `u < (-d / temp).exp()` for a `d` that is not `<= 0.0`.
+    /// `u < (-d / temp).exp()` for `u = Rng64::unit(r)` and a `d` that is
+    /// not `<= 0.0`. Past the cutoff only `u == 0.0`, that is `r == 0`,
+    /// can accept, so the draw is converted only below it.
     #[inline]
-    fn uphill(&self, d: f64, u: f64) -> bool {
+    fn uphill(&self, d: f64, r: u64) -> bool {
         if d >= self.cutoff {
-            // The last cell: only a zero draw can accept.
-            return u == 0.0 && u < (-d / self.temp).exp();
+            return r == 0 && 0.0 < (-d / self.temp).exp();
         }
-        self.table.below_exp(-d / self.temp, u)
+        self.table.below_exp(-d / self.temp, Rng64::unit(r))
     }
 }
 

@@ -72,6 +72,16 @@ impl Qubo {
         self.offset.is_finite() && self.coeff.iter().all(|c| c.is_finite())
     }
 
+    /// `|offset| + Σ_{i≤j} |Q[i,j]|`: a bound on `|E(x)|` for every
+    /// assignment, and on every partial sum of the terms of one. NaN when
+    /// a coefficient is NaN, `+∞` when one is infinite or the sum
+    /// overflows.
+    pub fn magnitude(&self) -> f64 {
+        self.coeff
+            .iter()
+            .fold(self.offset.abs(), |m, c| m + c.abs())
+    }
+
     /// Adds to the constant offset.
     pub fn add_offset(&mut self, v: f64) {
         self.offset += v;

@@ -140,7 +140,8 @@ pub fn sa_restart(
     let metropolis = Metropolis::get();
     let mut meter = BudgetMeter::for_unit(budget, params.restarts.max(1), idx);
     let sweeps = meter.sweep_cap(params.sweeps);
-    let mut s: Vec<i8> = (0..model.n())
+    let n = model.n();
+    let mut s: Vec<i8> = (0..n)
         .map(|_| if rng.chance(0.5) { 1 } else { -1 })
         .collect();
     let mut fields = IsingFields::new(model, &s);
@@ -154,10 +155,9 @@ pub fn sa_restart(
             break 'anneal;
         }
         let gate = metropolis.gate(temp);
-        for i in 0..model.n() {
-            if !meter.try_propose() {
-                break 'anneal;
-            }
+        // One grant per sweep: the proposal loop carries no meter.
+        let granted = meter.grant(n as u64) as usize;
+        for i in 0..granted {
             let d = fields.delta_flip(&s, i);
             if gate.accept(d, &mut rng) {
                 fields.apply_flip(model, &mut s, i);
@@ -167,6 +167,9 @@ pub fn sa_restart(
                     run_best_spins.copy_from_slice(&s);
                 }
             }
+        }
+        if granted < n {
+            break 'anneal;
         }
         trace.push(run_best);
         temp *= cooling;

@@ -10,9 +10,9 @@
 //! physics behind Fig. 2 of the tutorial's source material.
 
 use crate::budget::{Budget, BudgetMeter};
-use crate::field::{ising_delta, ising_fields_into, ising_flip};
+use crate::field::{ising_fields_into, ising_flip};
 use crate::ising::Ising;
-use crate::metropolis::Metropolis;
+use crate::metropolis::{Gate, Metropolis};
 use crate::sa::{merge_restarts, AnnealResult};
 use qmldb_math::{par, Rng64};
 
@@ -122,7 +122,8 @@ pub fn sqa_restart(
     let mut trace = Vec::with_capacity(sweeps);
     let mut gamma = gamma_start;
     let inv_p = 1.0 / p as f64;
-    let mut neighbours = vec![0i8; n];
+    let mut m2 = vec![0.0; n];
+    let mut q = vec![0.0; n];
 
     'anneal: for _ in 0..sweeps {
         if meter.interrupted() {
@@ -133,33 +134,18 @@ pub fn sqa_restart(
         // delta folded in).
         let j_perp = -(pt / 2.0) * (gamma / pt).tanh().ln();
         let two_j_perp = 2.0 * j_perp;
-        for k in 0..p {
-            // Slices k ± 1 stay fixed while slice k is swept, so their
-            // spin sums are taken once per pass.
-            let (up, down) = ((k + 1) % p * n, (k + p - 1) % p * n);
-            for (i, nb) in neighbours.iter_mut().enumerate() {
-                *nb = spins[up + i] + spins[down + i];
-            }
-            let row = k * n..(k + 1) * n;
-            let (s_row, f_row) = (&mut spins[row.clone()], &mut fields[row]);
-            for i in 0..n {
-                if !meter.try_propose() {
-                    break 'anneal;
-                }
-                // Classical part, scaled 1/P per Suzuki–Trotter.
-                let d_model = ising_delta(s_row[i], f_row[i]);
-                let d_classical = d_model * inv_p;
-                // Inter-slice part: flipping s_{k,i} changes
-                // -J⊥·s_{k,i}(s_{k+1,i}+s_{k-1,i}) by twice its value.
-                let s_k = s_row[i] as f64;
-                let s_nb = neighbours[i] as f64;
-                let d_quantum = two_j_perp * s_k * s_nb;
-                let d = d_classical + d_quantum;
-                if gate.accept(d, &mut rng) {
-                    ising_flip(model, s_row, f_row, i);
-                    energies[k] += d_model;
-                }
-            }
+        let granted = meter.grant((p * n) as u64) as usize;
+        sweep_pass(
+            model,
+            &gate,
+            (inv_p, two_j_perp),
+            granted,
+            (&mut spins, &mut fields, &mut energies),
+            (&mut m2, &mut q),
+            &mut rng,
+        );
+        if granted < p * n {
+            break 'anneal;
         }
         // Track the best classical replica off the running energies.
         for (k, &e) in energies.iter().enumerate() {
@@ -194,10 +180,239 @@ pub fn sqa_restart(
     }
 }
 
+/// The first `granted` proposals of one sweep over the Trotter slices,
+/// with no budget meter in the loop: the caller grants them up front.
+///
+/// Slices k ± 1 stay fixed while slice k is swept, and spin i of slice k
+/// changes only at proposal i, so each proposal's spin factors are taken
+/// once per slice: the classical `ΔE = −2·s·f` as `m2[i]·f`, and the
+/// inter-slice part (flipping s_{k,i} changes
+/// −J⊥·s_{k,i}(s_{k+1,i}+s_{k−1,i}) by twice its value) as `q[i]`.
+/// Proposal `i` computes `d_model = m2[i]·f_i`, scales it by `1/P` per
+/// Suzuki–Trotter and adds `q[i]`; an accepted flip moves the slice
+/// energy by `d_model`. The stream lives in a local for the whole pass.
+#[inline(never)]
+fn sweep_pass(
+    model: &Ising,
+    gate: &Gate<'_>,
+    (inv_p, two_j_perp): (f64, f64),
+    granted: usize,
+    (spins, fields, energies): (&mut [i8], &mut [f64], &mut [f64]),
+    (m2, q): (&mut [f64], &mut [f64]),
+    stream: &mut Rng64,
+) {
+    let (n, p) = (m2.len(), energies.len());
+    let mut rng = stream.clone();
+    let mut left = granted;
+    for k in 0..p {
+        if left == 0 {
+            break;
+        }
+        // The neighbour slices' indices without `%`: compiled, the two
+        // divisions were redone for every element of the loop below.
+        let up = if k + 1 == p { 0 } else { k + 1 };
+        let down = if k == 0 { p - 1 } else { k - 1 };
+        let slice = |k: usize| &spins[k * n..(k + 1) * n];
+        let (own, up, down) = (slice(k), slice(up), slice(down));
+        let factors = m2.iter_mut().zip(q.iter_mut()).zip(own);
+        for (((m, qi), &s), (&a, &b)) in factors.zip(up.iter().zip(down)) {
+            let (s_k, s_nb) = (s as f64, (a + b) as f64);
+            *m = -2.0 * s_k;
+            *qi = two_j_perp * s_k * s_nb;
+        }
+        let take = left.min(n);
+        left -= take;
+        let row = k * n..(k + 1) * n;
+        let (s_row, f_row) = (&mut spins[row.clone()], &mut fields[row]);
+        let mut e = energies[k];
+        for (i, (&m, &qi)) in m2[..take].iter().zip(&q[..take]).enumerate() {
+            let d_model = m * f_row[i];
+            let d = d_model * inv_p + qi;
+            if gate.accept(d, &mut rng) {
+                flip(model, s_row, f_row, i);
+                e += d_model;
+            }
+        }
+        energies[k] = e;
+    }
+    *stream = rng;
+}
+
+/// An accepted flip, out of line: the proposal loop stays small.
+#[cold]
+#[inline(never)]
+fn flip(model: &Ising, s_row: &mut [i8], f_row: &mut [f64], i: usize) {
+    ising_flip(model, s_row, f_row, i);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::CancelToken;
+    use crate::field::ising_delta;
     use crate::sa::{simulated_annealing, SaParams};
+    use qmldb_math::check;
+
+    /// The restart loop as it was before the granted sweep pass: a meter
+    /// check before every proposal and the spin factors read at the
+    /// proposal. The bit-for-bit oracle for [`sqa_restart`].
+    fn oracle_sqa_restart(
+        model: &Ising,
+        params: &SqaParams,
+        budget: &Budget,
+        idx: usize,
+        stream: &mut Rng64,
+    ) -> AnnealResult {
+        let mut rng = stream.clone();
+        let n = model.n();
+        let p = params.replicas.max(2);
+        let scale = model.energy_scale();
+        let temp = params.temperature_factor * scale;
+        let pt = p as f64 * temp;
+        let gamma_start = params.gamma_start_factor * scale;
+        let gamma_end = params.gamma_end_factor * scale;
+        let gamma_decay = (gamma_end / gamma_start).powf(1.0 / params.sweeps.max(2) as f64);
+        let gate = Metropolis::get().gate(temp);
+        let mut meter = BudgetMeter::for_unit(budget, params.restarts.max(1), idx);
+        let mut spins: Vec<i8> = (0..p * n)
+            .map(|_| if rng.chance(0.5) { 1 } else { -1 })
+            .collect();
+        let mut fields = vec![0.0; p * n];
+        for (s, f) in spins.chunks(n).zip(fields.chunks_mut(n)) {
+            ising_fields_into(model, s, f);
+        }
+        let mut energies: Vec<f64> = spins.chunks(n).map(|s| model.energy(s)).collect();
+        let mut run_best = f64::INFINITY;
+        let mut run_best_spins = spins[..n].to_vec();
+        let sweeps = meter.sweep_cap(params.sweeps);
+        let mut trace = Vec::with_capacity(sweeps);
+        let mut gamma = gamma_start;
+        let inv_p = 1.0 / p as f64;
+        let mut neighbours = vec![0i8; n];
+        'anneal: for _ in 0..sweeps {
+            if meter.interrupted() {
+                break 'anneal;
+            }
+            let j_perp = -(pt / 2.0) * (gamma / pt).tanh().ln();
+            let two_j_perp = 2.0 * j_perp;
+            for k in 0..p {
+                let (up, down) = ((k + 1) % p * n, (k + p - 1) % p * n);
+                for (i, nb) in neighbours.iter_mut().enumerate() {
+                    *nb = spins[up + i] + spins[down + i];
+                }
+                let row = k * n..(k + 1) * n;
+                let (s_row, f_row) = (&mut spins[row.clone()], &mut fields[row]);
+                for i in 0..n {
+                    if !meter.try_propose() {
+                        break 'anneal;
+                    }
+                    let d_model = ising_delta(s_row[i], f_row[i]);
+                    let d_classical = d_model * inv_p;
+                    let s_k = s_row[i] as f64;
+                    let s_nb = neighbours[i] as f64;
+                    let d_quantum = two_j_perp * s_k * s_nb;
+                    let d = d_classical + d_quantum;
+                    if gate.accept(d, &mut rng) {
+                        ising_flip(model, s_row, f_row, i);
+                        energies[k] += d_model;
+                    }
+                }
+            }
+            for (k, &e) in energies.iter().enumerate() {
+                if e < run_best {
+                    run_best = e;
+                    run_best_spins.copy_from_slice(&spins[k * n..(k + 1) * n]);
+                }
+            }
+            trace.push(run_best);
+            gamma *= gamma_decay;
+        }
+        if run_best.is_infinite() {
+            for (k, &e) in energies.iter().enumerate() {
+                if e < run_best {
+                    run_best = e;
+                    run_best_spins.copy_from_slice(&spins[k * n..(k + 1) * n]);
+                }
+            }
+        }
+        *stream = rng;
+        AnnealResult {
+            energy: model.energy(&run_best_spins),
+            spins: run_best_spins,
+            trace,
+            proposals: meter.used(),
+            exhausted: meter.exhausted(),
+        }
+    }
+
+    /// A seeded glass on `n` spins with fields and ~60% of the couplings.
+    fn oracle_model(rng: &mut Rng64, n: usize) -> Ising {
+        let mut couplings = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if rng.chance(0.6) {
+                    couplings.push((i, j, rng.uniform_range(-1.0, 1.0)));
+                }
+            }
+        }
+        let h = (0..n).map(|_| rng.uniform_range(-0.5, 0.5)).collect();
+        Ising::new(h, couplings, rng.uniform_range(-1.0, 1.0))
+    }
+
+    #[test]
+    fn granted_sweeps_match_the_per_proposal_loop_bit_for_bit() {
+        check::cases("granted_sqa_sweeps_match_per_proposal_loop", 4, |rng| {
+            for n in [1usize, 2, 3, 7, 18] {
+                let model = oracle_model(rng, n);
+                for (replicas, gamma_start_factor) in
+                    [(2, 3.0), (3, 0.2), (5, 1e300), (4, f64::INFINITY)]
+                {
+                    // Γ = 1e300·scale gives J⊥ = −0.0 (tanh rounds to 1);
+                    // Γ = ∞ gives −0.0 on the first sweep and NaN after it.
+                    let params = SqaParams {
+                        replicas,
+                        sweeps: 5,
+                        restarts: 3,
+                        gamma_start_factor,
+                        ..SqaParams::default()
+                    };
+                    let sweep = (replicas * n) as u64;
+                    let cancelled = CancelToken::new();
+                    cancelled.cancel();
+                    let mut budgets = vec![
+                        Budget::unlimited(),
+                        Budget::unlimited().with_cancel(cancelled),
+                        Budget::sweeps(2),
+                        Budget::sweeps(3).with_proposals(3 * sweep + 5),
+                    ];
+                    // Caps whose three shares end at every residue of the
+                    // sweep length (so on every slice boundary too), one
+                    // whose shares differ by one, and the whole schedule.
+                    budgets.extend((0..=sweep).map(|r| Budget::proposals(3 * (sweep + r))));
+                    budgets.push(Budget::proposals(3 * sweep + 2));
+                    budgets.push(Budget::proposals(rng.below(15 * sweep + 1)));
+                    budgets.push(Budget::proposals(15 * sweep));
+                    for budget in &budgets {
+                        for idx in 0..params.restarts {
+                            let seed = rng.next_u64();
+                            let (mut a, mut b) = (Rng64::new(seed), Rng64::new(seed));
+                            let got = sqa_restart(&model, &params, budget, idx, &mut a);
+                            let want = oracle_sqa_restart(&model, &params, budget, idx, &mut b);
+                            let case = format!("n={n} P={replicas} Γ0={gamma_start_factor:e} budget={budget:?} idx={idx}");
+                            assert_eq!(got.spins, want.spins, "{case}");
+                            assert_eq!(got.energy.to_bits(), want.energy.to_bits(), "{case}");
+                            let bits =
+                                |t: &[f64]| t.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&got.trace), bits(&want.trace), "{case}");
+                            assert_eq!(got.proposals, want.proposals, "{case}");
+                            assert_eq!(got.exhausted, want.exhausted, "{case}");
+                            assert_eq!(a.next_u64(), b.next_u64(), "{case}: stream");
+                        }
+                    }
+                }
+            }
+        });
+    }
 
     #[test]
     fn solves_ferromagnetic_chain() {

@@ -7,7 +7,9 @@
 //! `qmldb_anneal::metropolis`: every grid point and its neighbouring
 //! ulps, the `x ≤ −38` cell, the gate's cutoff and its neighbouring
 //! ulps at normal, subnormal, huge and degenerate temperatures, the
-//! extreme draws, and non-finite or degenerate `d` and `temp`.
+//! extreme draws, and non-finite or degenerate `d` and `temp`. `decide`
+//! is the bracket alone, for any `u`; `decide_raw` and `accept` add the
+//! cutoff and take the raw draw.
 
 use qmldb_anneal::Metropolis;
 use qmldb_math::Rng64;
@@ -166,10 +168,10 @@ fn ulps(x: f64, k: i64) -> f64 {
     f64::from_bits((x.to_bits() as i64 + k) as u64)
 }
 
-#[test]
-fn gate_matches_at_and_around_the_cutoff() {
-    let m = Metropolis::get();
-    let mut rng = Rng64::new(0x3e7f);
+/// The temperatures `gate_matches_at_and_around_the_cutoff` and
+/// `decide_raw_matches_decide_on_the_draw_it_stands_for` cover: the
+/// edges of the cutoff's rounding argument plus seeded ones.
+fn edge_temps(rng: &mut Rng64) -> Vec<f64> {
     let tiny = f64::from_bits(1);
     let mut temps = vec![
         tiny,
@@ -200,21 +202,66 @@ fn gate_matches_at_and_around_the_cutoff() {
     for _ in 0..500 {
         temps.push(f64::from_bits(rng.next_u64() >> 12));
     }
-    for &temp in &temps {
-        let mut ds = vec![1.0, f64::MAX, f64::INFINITY, f64::NAN];
-        if temp > 0.0 && temp.is_finite() {
-            for base in [cutoff(temp), 38.0 * temp] {
-                if base.is_finite() {
-                    ds.extend((-4..=4).map(|k| ulps(base, k)));
-                }
+    temps
+}
+
+/// The moves checked at `temp`: ordinary, huge and non-finite ones, and
+/// the cutoff and `fl(38·temp)` with their neighbouring ulps.
+fn edge_ds(temp: f64) -> Vec<f64> {
+    let mut ds = vec![1.0, f64::MAX, f64::INFINITY, f64::NAN];
+    if temp > 0.0 && temp.is_finite() {
+        for base in [cutoff(temp), 38.0 * temp] {
+            if base.is_finite() {
+                ds.extend((-4..=4).map(|k| ulps(base, k)));
             }
         }
-        for d in ds {
+    }
+    ds
+}
+
+#[test]
+fn gate_matches_at_and_around_the_cutoff() {
+    let m = Metropolis::get();
+    let mut rng = Rng64::new(0x3e7f);
+    for temp in edge_temps(&mut rng) {
+        for d in edge_ds(temp) {
             let p = (-d / temp).exp();
             let mut us = vec![U_MIN, 1.0 / (1u64 << 53) as f64, 0.5, U_MAX];
             us.extend(draws_around(p));
             for u in us {
                 check(m, d, temp, u);
+            }
+        }
+    }
+}
+
+#[test]
+fn decide_raw_matches_decide_on_the_draw_it_stands_for() {
+    // `accept` decides on the raw draw `r = next_u64() >> 11`; it must
+    // decide as `decide` does on `u = r·2⁻⁵³`, the `Rng64::uniform` value.
+    let m = Metropolis::get();
+    let mut rng = Rng64::new(0x3e81);
+    let r_max = (1u64 << 53) - 1;
+    for temp in edge_temps(&mut rng) {
+        let gate = m.gate(temp);
+        let mut ds = edge_ds(temp);
+        ds.extend([0.0, -0.0, -1.0, f64::NEG_INFINITY]);
+        ds.push(rng.uniform_range(0.0, 60.0) * temp.abs());
+        for d in ds {
+            let mut rs = vec![0, 1, 2, r_max, r_max - 1];
+            rs.extend((0..6).map(|_| rng.next_u64() >> 11));
+            // Draws either side of the acceptance probability itself.
+            let p = (-d / temp).exp();
+            if p.is_finite() {
+                let k = (p * (1u64 << 53) as f64).ceil().clamp(0.0, r_max as f64) as u64;
+                rs.extend([k.saturating_sub(1), k, (k + 1).min(r_max)]);
+            }
+            for r in rs {
+                let u = r as f64 * (1.0 / (1u64 << 53) as f64);
+                assert_eq!(u, Rng64::unit(r));
+                let case = format!("d = {d:e}, temp = {temp:e}, r = {r}");
+                assert_eq!(gate.decide_raw(d, r), gate.decide(d, u), "{case}");
+                assert_eq!(gate.decide_raw(d, r), oracle(d, temp, u), "{case}");
             }
         }
     }

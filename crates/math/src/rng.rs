@@ -77,7 +77,15 @@ impl Rng64 {
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        Rng64::unit(self.next_u64() >> 11)
+    }
+
+    /// The value [`Rng64::uniform`] returns for the 53-bit draw
+    /// `r = next_u64() >> 11`: `r·2⁻⁵³`, exact. Callers that can decide
+    /// on `r` itself (is it zero?) draw `r` and convert only when needed.
+    #[inline]
+    pub fn unit(r: u64) -> f64 {
+        r as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform `f64` in `[lo, hi)`.

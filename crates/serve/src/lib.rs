@@ -62,5 +62,5 @@ pub mod wire;
 pub use cache::{CacheCounters, LruCache};
 pub use request::{Reply, Request, ServeOutcome, Solution, WorkloadSpec, MAX_DEADLINE_MS};
 pub use server::{spawn, ServerHandle};
-pub use service::{Service, ServiceConfig, ServiceStats};
+pub use service::{Service, ServiceConfig, ServiceStats, MAX_ENCODING_MAGNITUDE};
 pub use wire::Op;

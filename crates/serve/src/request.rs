@@ -445,23 +445,34 @@ impl BuiltProblem {
         }
     }
 
-    /// Canonical signature over the already-computed penalized encoding:
-    /// the split model hash (objective encoded at penalty 0, penalty part
+    /// The objective part alone: the encoding at penalty 0. Every
+    /// escalation round's encoding is this plus `2ᵈ` times the penalty
+    /// part of [`Self::encode`]'s.
+    pub fn objective_encoding(&self) -> Qubo {
+        match self {
+            BuiltProblem::JoinOrder(p) => p.encode(0.0),
+            BuiltProblem::Mqo(p) => p.encode(0.0),
+            BuiltProblem::IndexSelection(p) => p.encode(0.0),
+            BuiltProblem::TxSchedule(p) => p.encode(0.0),
+        }
+    }
+
+    /// Canonical signature over the already-computed objective part
+    /// ([`Self::objective_encoding`]) and penalized encoding: the split
+    /// model hash (objective encoded at penalty 0, penalty part
     /// normalized separately — see [`qmldb_anneal::split_signature`])
     /// mixed with family name and variable count, matching
     /// [`QuboProblem::signature`] without re-encoding the full model.
-    pub fn signature_of(&self, encoded: &(Qubo, Constraints)) -> u64 {
-        let (name, n_vars, objective) = match self {
-            BuiltProblem::JoinOrder(p) => (p.name(), p.n_vars(), p.encode_with_constraints(0.0).0),
-            BuiltProblem::Mqo(p) => (p.name(), p.n_vars(), p.encode_with_constraints(0.0).0),
-            BuiltProblem::IndexSelection(p) => {
-                (p.name(), p.n_vars(), p.encode_with_constraints(0.0).0)
-            }
-            BuiltProblem::TxSchedule(p) => (p.name(), p.n_vars(), p.encode_with_constraints(0.0).0),
+    pub fn signature_of(&self, objective: &Qubo, encoded: &(Qubo, Constraints)) -> u64 {
+        let (name, n_vars) = match self {
+            BuiltProblem::JoinOrder(p) => (p.name(), p.n_vars()),
+            BuiltProblem::Mqo(p) => (p.name(), p.n_vars()),
+            BuiltProblem::IndexSelection(p) => (p.name(), p.n_vars()),
+            BuiltProblem::TxSchedule(p) => (p.name(), p.n_vars()),
         };
         let mut h = fnv1a(FNV_OFFSET, name.as_bytes());
         h = fnv1a(h, &(n_vars as u64).to_le_bytes());
-        fnv1a(h, &split_signature(&objective, &encoded.0).to_le_bytes())
+        fnv1a(h, &split_signature(objective, &encoded.0).to_le_bytes())
     }
 
     /// Runs the portfolio on the pre-encoded problem under `budget` and

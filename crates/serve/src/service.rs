@@ -166,13 +166,14 @@ impl Service {
         self.requests += 1;
         let arrival = Instant::now();
         // Prepare.
-        let (problem, encoded, signature, key) = match prepare(req) {
-            Ok(p) => p,
-            Err(e) => {
-                self.errors += 1;
-                return Reply::Error(e);
-            }
-        };
+        let (problem, encoded, signature, key) =
+            match prepare(req, self.portfolio.max_penalty_doublings) {
+                Ok(p) => p,
+                Err(e) => {
+                    self.errors += 1;
+                    return Reply::Error(e);
+                }
+            };
         // Admit. An already-expired deadline is checked before the cache
         // probe: the client stopped waiting, so even a free answer is
         // useless (and a probe would skew recency for nothing).
@@ -224,7 +225,8 @@ impl Service {
         let arrival = Instant::now();
 
         // Phase 1 — prepare (parallel, pure): problem + encoding + key.
-        let prepared: Vec<Prepared> = par::map(requests, |_, req| prepare(req));
+        let doublings = self.portfolio.max_penalty_doublings;
+        let prepared: Vec<Prepared> = par::map(requests, |_, req| prepare(req, doublings));
 
         // Phase 2 — admit (serial): deadline screen, cache probes,
         // coalescing, admission. One clock read screens the whole batch
@@ -361,21 +363,36 @@ impl Service {
 /// and cache key.
 type Prepared = Result<(BuiltProblem, (Qubo, Constraints), u64, u64), String>;
 
-/// Phase 1 for one request: validate, build, encode once, sign. An
-/// encoding that overflows to a non-finite coefficient is refused here,
-/// as a permanent error, before any solver sees it.
-fn prepare(req: &Request) -> Prepared {
+/// The largest encoding magnitude ([`Qubo::magnitude`]) a solve may
+/// run on. Every energy, energy change, local field and partial sum the
+/// solvers form is at most a small multiple of it, so none overflows;
+/// DESIGN.md gives the argument.
+pub const MAX_ENCODING_MAGNITUDE: f64 = 1e300;
+
+/// Phase 1 for one request: validate, build, encode once, sign. A
+/// request is refused here, as a permanent error before any solver sees
+/// it, when an encoding one of its escalation rounds may run on
+/// overflows or exceeds [`MAX_ENCODING_MAGNITUDE`]. Round `d` of
+/// `max_doublings` runs on `O + 2ᵈ·(Q − O)`, with `O` the objective part
+/// and `Q` the `auto_penalty` encoding, so its magnitude is at most
+/// `|O| + 2ᵈ·(|Q| + |O|)`.
+fn prepare(req: &Request, max_doublings: usize) -> Prepared {
     req.validate()?;
     req.workload.validate()?;
     let problem = req.workload.build();
     let encoded = problem.encode();
-    if !encoded.0.is_finite() {
+    let objective = problem.objective_encoding();
+    let (q, o) = (encoded.0.magnitude(), objective.magnitude());
+    // At least `q`, and NaN or +∞ when `q` or `o` is.
+    let escalated = o + 2f64.powi(max_doublings.min(2048) as i32) * (q + o);
+    if escalated.is_nan() || escalated > MAX_ENCODING_MAGNITUDE {
         return Err(format!(
-            "{}: the penalty encoding overflows; scale the inputs down",
+            "{}: the penalty encoding overflows or exceeds magnitude {MAX_ENCODING_MAGNITUDE:e}; \
+             scale the inputs down",
             req.workload.tag()
         ));
     }
-    let signature = problem.signature_of(&encoded);
+    let signature = problem.signature_of(&objective, &encoded);
     let key = cache_key(signature, req.seed);
     Ok((problem, encoded, signature, key))
 }

@@ -666,6 +666,78 @@ fn tcp_non_finite_or_overflowing_numbers_get_errors_and_the_server_keeps_answeri
 }
 
 #[test]
+fn the_magnitude_bound_covers_every_escalation_round() {
+    // Costs of 1e298: the auto-penalty encoding's magnitude is about
+    // 3.6e299 and its objective part's 4e298, so round d runs on one of
+    // magnitude up to 4e298 + 2ᵈ·4e299. Within the bound with no
+    // doublings, past it at the default three.
+    let c = 1e298;
+    let req = Request {
+        workload: WorkloadSpec::Mqo {
+            plan_costs: vec![vec![c, c], vec![c, c]],
+            savings: vec![],
+        },
+        seed: 5,
+        deadline_ms: None,
+    };
+    let config = |portfolio: Portfolio| ServiceConfig {
+        portfolio,
+        ..quick_config()
+    };
+    let mut strict = Service::new(config(quick_portfolio()));
+    assert_eq!(quick_portfolio().max_penalty_doublings, 3);
+    let reply = strict.submit_batch(std::slice::from_ref(&req)).remove(0);
+    assert!(
+        matches!(&reply, Reply::Error(e) if e.contains("exceeds magnitude")),
+        "{reply:?}"
+    );
+    let mut lenient = Service::new(config(quick_portfolio().with_max_penalty_doublings(0)));
+    let reply = lenient.submit_batch(&[req]).remove(0);
+    assert!(matches!(reply, Reply::Done(_)), "{reply:?}");
+}
+
+#[test]
+fn tcp_finite_costs_whose_energies_overflow_get_one_error_and_the_connection_keeps_answering() {
+    let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
+    let addr = handle.local_addr();
+
+    // Every number and every coefficient of the auto-penalty encoding is
+    // finite, but its magnitude is not: the Ising offset, and so every
+    // SA, SQA and tempering energy, is +∞. Such a request used to be
+    // solved, with the annealers comparing infinities.
+    let huge = "{\"op\":\"solve\",\"workload\":\"mqo\",\"seed\":1,\
+                \"plan_costs\":[[1e307,2e307,3e307],[1e307,5e306,3e306]],\"savings\":[]}";
+    let small = "{\"op\":\"solve\",\"workload\":\"mqo\",\"seed\":1,\
+                 \"plan_costs\":[[10,12],[8,9]],\"savings\":[[0,0,1,1,3.5]]}";
+    let stream = TcpStream::connect(addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    writeln!(writer, "{huge}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"error\""), "got: {line}");
+    assert!(line.contains("exceeds magnitude"), "got: {line}");
+
+    // The next line on the same connection is answered, and the refused
+    // request was not cached: asking again gets the same error.
+    line.clear();
+    writeln!(writer, "{small}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"status\": \"ok\""), "got: {line}");
+    line.clear();
+    writeln!(writer, "{huge}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("exceeds magnitude"), "got: {line}");
+    line.clear();
+    writeln!(writer, "{{\"op\":\"stats\"}}").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"errors\": 2"), "got: {line}");
+    assert!(line.contains("\"misses\": 1"), "got: {line}");
+
+    handle.shutdown();
+}
+
+#[test]
 fn tcp_deeply_nested_line_gets_an_error_and_the_server_keeps_answering() {
     let handle = spawn("127.0.0.1:0", Service::new(quick_config())).expect("bind");
     let addr = handle.local_addr();

@@ -16,9 +16,11 @@
 
 use qmldb::anneal::exact::spectrum;
 use qmldb::anneal::{
-    fnv1a, parallel_tempering, sharded_anneal, simulated_annealing, simulated_quantum_annealing,
-    solve_exact_with_budget, tabu_search, AnnealResult, Budget, CancelToken, ExactSolution, Ising,
-    Qubo, SaParams, ShardedParams, SqaParams, TabuParams, TemperingParams, FNV_OFFSET,
+    fnv1a, parallel_tempering, sharded_anneal, simulated_annealing,
+    simulated_annealing_with_budget, simulated_quantum_annealing,
+    simulated_quantum_annealing_with_budget, solve_exact_with_budget, tabu_search, AnnealResult,
+    Budget, CancelToken, ExactSolution, Ising, Qubo, SaParams, ShardedParams, SqaParams,
+    TabuParams, TemperingParams, FNV_OFFSET,
 };
 use qmldb::db::instances::{IndexParams, InstanceGenerator, JoinOrderParams, MqoParams, TxParams};
 use qmldb::db::{Portfolio, PortfolioOutcome, QuboProblem, Solver, Topology};
@@ -333,6 +335,76 @@ fn sqa_result() {
         anneal_print(&r, &mut rng),
         0x21f1_30c0_acca_e223,
     );
+}
+
+/// The proposal caps of the cap rows below, for a restart whose unit of
+/// granted work (an SA or SQA sweep) is `unit` proposals: the start, one
+/// cap at every residue of `unit` inside the second unit, and each side
+/// of the full schedule of `total`.
+fn unit_caps(unit: u64, total: u64) -> Vec<u64> {
+    let mut caps = vec![0, 1];
+    caps.extend(unit..2 * unit);
+    caps.extend([total - 1, total, total + 1]);
+    caps
+}
+
+#[test]
+fn sqa_proposal_caps() {
+    // 18 spins, 4 Trotter slices, 6 sweeps: 72 proposals per sweep and
+    // 432 per restart. One restart takes caps at every residue of the
+    // sweep length, and so of the slice length; three restarts split
+    // caps so that some shares end exactly on a slice boundary and
+    // others one proposal past or short of it.
+    let (_, ising) = models();
+    assert_eq!(ising.n(), 18);
+    let params = |restarts| SqaParams {
+        replicas: 4,
+        sweeps: 6,
+        restarts,
+        ..SqaParams::default()
+    };
+    let mut h = Print::new();
+    let mut run = |restarts, budget: Budget| {
+        let mut rng = Rng64::new(117);
+        let r =
+            simulated_quantum_annealing_with_budget(&ising, &params(restarts), &budget, &mut rng);
+        h.u64(anneal_print(&r, &mut rng));
+    };
+    for cap in unit_caps(72, 432) {
+        run(1, Budget::proposals(cap));
+    }
+    for cap in [107, 108, 109, 110, 3 * 432 - 1] {
+        run(3, Budget::proposals(cap));
+    }
+    run(3, Budget::sweeps(2));
+    run(3, Budget::sweeps(2).with_proposals(200));
+    pin("sqa_proposal_caps", h.0, 0xcd25_7148_631c_1416);
+}
+
+#[test]
+fn sa_proposal_caps() {
+    // 18 spins, 6 sweeps: 108 proposals per restart, caps at every
+    // residue of the sweep length, then shares split across restarts.
+    let (_, ising) = models();
+    let params = |restarts| SaParams {
+        sweeps: 6,
+        restarts,
+        ..SaParams::default()
+    };
+    let mut h = Print::new();
+    let mut run = |restarts, budget: Budget| {
+        let mut rng = Rng64::new(118);
+        let r = simulated_annealing_with_budget(&ising, &params(restarts), &budget, &mut rng);
+        h.u64(anneal_print(&r, &mut rng));
+    };
+    for cap in unit_caps(18, 108) {
+        run(1, Budget::proposals(cap));
+    }
+    for cap in [53, 54, 55, 2 * 108 - 1] {
+        run(2, Budget::proposals(cap));
+    }
+    run(2, Budget::sweeps(3).with_proposals(70));
+    pin("sa_proposal_caps", h.0, 0xea72_2efa_3dec_d678);
 }
 
 #[test]
