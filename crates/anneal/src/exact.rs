@@ -246,6 +246,11 @@ pub fn solve_exact_with_budget(qubo: &Qubo, budget: &Budget) -> (ExactSolution, 
 /// hypercube in Gray-code order like [`solve_exact`], so the whole
 /// spectrum costs `O(2ⁿ·n)` instead of the `O(2ⁿ·n²)` of evaluating
 /// `energy_of_index` per assignment.
+///
+/// The order is IEEE 754 total order ([`f64::total_cmp`]): a model whose
+/// walk reaches a NaN energy (an infinite coefficient met by its
+/// opposite) sorts that NaN after `+∞` instead of panicking. The walk
+/// never produces `−0.0`, so finite spectra sort as under `<`.
 pub fn spectrum(qubo: &Qubo) -> Vec<f64> {
     let n = qubo.n();
     assert!(n <= 16, "spectrum enumeration too large");
@@ -263,7 +268,7 @@ pub fn spectrum(qubo: &Qubo) -> Vec<f64> {
             k += 1;
         }
     }
-    energies.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    energies.sort_by(f64::total_cmp);
     energies
 }
 
@@ -439,6 +444,28 @@ mod tests {
             assert!(w[0] <= w[1]);
         }
         assert_eq!(spec[0], solve_exact(&q).energy);
+    }
+
+    #[test]
+    fn spectrum_of_non_finite_or_huge_models_is_complete() {
+        // An infinite coupling drives some walk energies to NaN; a sort
+        // that assumed a total order over `<` used to panic on them.
+        let mut inf = Qubo::new(3);
+        inf.add_linear(0, -1.0);
+        inf.add(0, 1, f64::INFINITY);
+        let spec = spectrum(&inf);
+        assert_eq!(spec.len(), 8);
+        assert!(spec.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+
+        // Finite coefficients near f64::MAX overflow partial sums.
+        let mut huge = Qubo::new(3);
+        huge.add_linear(0, f64::MAX);
+        huge.add_linear(1, -f64::MAX);
+        huge.add(0, 2, f64::MAX);
+        huge.add(1, 2, -0.5 * f64::MAX);
+        let spec = spectrum(&huge);
+        assert_eq!(spec.len(), 8);
+        assert!(spec.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub use field::{IsingFields, QuboFields};
 pub use ising::{bits_to_spins, spins_to_bits, Ising};
 pub use metropolis::Metropolis;
 pub use partition::{
-    embedding_shard_budget, partition_graph, sharded_anneal, sharded_anneal_qubo,
-    sharded_anneal_with_budget, Partition, ShardedParams, ShardedResult,
+    embedding_shard_budget, partition_graph, sharded_anneal, sharded_anneal_with_budget, Partition,
+    ShardedParams, ShardedResult,
 };
 pub use qubo::Qubo;
 pub use sa::{

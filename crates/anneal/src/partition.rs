@@ -34,9 +34,8 @@ use crate::budget::{Budget, BudgetMeter};
 use crate::csr::CsrAdjacency;
 use crate::device::DeviceConfig;
 use crate::field::IsingFields;
-use crate::ising::{spins_to_bits, Ising};
+use crate::ising::Ising;
 use crate::metropolis::Metropolis;
-use crate::sparse::SparseQubo;
 use qmldb_math::{par, Rng64};
 
 /// Sentinel for "not yet assigned / not yet matched".
@@ -906,25 +905,12 @@ pub fn sharded_anneal_with_budget(
     }
 }
 
-/// Runs partitioned annealing on a sparse QUBO (via its exact Ising
-/// form) and returns the best assignment alongside the run record. The
-/// record's `energy` equals `qubo.energy(&bits)` up to f64 rounding of
-/// the change of variables.
-pub fn sharded_anneal_qubo(
-    qubo: &SparseQubo,
-    params: &ShardedParams,
-    rng: &mut Rng64,
-) -> (Vec<bool>, ShardedResult) {
-    let ising = qubo.to_ising();
-    let r = sharded_anneal(&ising, params, rng);
-    let bits = spins_to_bits(&r.spins);
-    (bits, r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::embed::{clique_embedding, Chimera};
+    use crate::ising::spins_to_bits;
+    use crate::sparse::SparseQubo;
 
     fn banded_glass(n: usize, band: usize, rng: &mut Rng64) -> Ising {
         let mut couplings = Vec::new();
@@ -1166,8 +1152,8 @@ mod tests {
             quad.push((i, i + 1, rng.uniform_range(-1.0, 1.0)));
         }
         let q = SparseQubo::from_terms(linear, quad, 0.3);
-        let (bits, r) = sharded_anneal_qubo(
-            &q,
+        let r = sharded_anneal(
+            &q.to_ising(),
             &ShardedParams {
                 max_shard_vars: 16,
                 rounds: 6,
@@ -1176,6 +1162,7 @@ mod tests {
             },
             &mut rng,
         );
+        let bits = spins_to_bits(&r.spins);
         assert_eq!(bits.len(), 60);
         assert!((q.energy(&bits) - r.energy).abs() < 1e-9);
     }

@@ -14,7 +14,7 @@
 //! below the cold p50 single-threaded — the service's reason to exist.
 
 use qmldb_anneal::{SaParams, TabuParams};
-use qmldb_bench::json::{merge_section, Json};
+use qmldb_bench::json::{host_record, merge_section, Json};
 use qmldb_bench::timing::group;
 use qmldb_db::{Portfolio, Solver};
 use qmldb_math::{par, Rng64};
@@ -359,117 +359,37 @@ fn main() {
     );
     par::reset_threads();
 
-    // PR 9 — tiny-batch fast path: warm point queries submitted one
-    // request at a time through the inline fast path vs the general
-    // batched path on the same warmed service. The fast path skips the
-    // plan/miss vectors, the coalescing map, and the fan-out machinery;
-    // the p50 delta is that per-request batch overhead.
+    // Warm point queries: one request per `submit_batch` call on a
+    // warmed service, the shape every wire `submit` takes. The p50 is the
+    // per-request cost of the batch machinery on a cache hit.
     group("serve_tiny_batch");
     par::set_threads(4);
     let mut warmed_service = Service::new(config());
     drive(&mut warmed_service, &mix); // populate every model in the mix
     let warmed = warmed_service.stats();
-    let mut single = |general: bool| {
-        let mut lat = Vec::with_capacity(mix.len() * WARM_PASSES);
-        let mut outs = Vec::with_capacity(mix.len());
-        for _ in 0..WARM_PASSES {
-            outs.clear();
-            for req in &mix {
-                let one = std::slice::from_ref(req);
-                let t0 = Instant::now();
-                let reply = if general {
-                    warmed_service.submit_batch_general(one)
-                } else {
-                    warmed_service.submit_batch(one)
-                }
+    let mut tiny_lat = Vec::with_capacity(mix.len() * WARM_PASSES);
+    for _ in 0..WARM_PASSES {
+        for req in &mix {
+            let t0 = Instant::now();
+            let reply = warmed_service
+                .submit_batch(std::slice::from_ref(req))
                 .pop()
                 .expect("one reply per request");
-                lat.push(t0.elapsed().as_secs_f64());
-                match reply {
-                    Reply::Done(o) => outs.push(o),
-                    other => panic!("warm tiny-batch request failed: {other:?}"),
-                }
+            tiny_lat.push(t0.elapsed().as_secs_f64());
+            match reply {
+                Reply::Done(o) => assert!(o.cached, "warm tiny batch must hit"),
+                other => panic!("warm tiny-batch request failed: {other:?}"),
             }
         }
-        (lat, outs, warmed_service.stats())
-    };
-    let (mut fast_lat, fast_outs, after_fast) = single(false);
-    let (mut gen_lat, gen_outs, after_gen) = single(true);
-    assert_identical(&fast_outs, &gen_outs, "tiny-batch fast vs general");
-    let (rec, fast_p50) = latency_record(
-        "serve/tiny_batch_fast",
-        &mut fast_lat,
-        after_fast.hits - warmed.hits,
-        after_fast.misses - warmed.misses,
-    );
-    load_records.push(rec);
-    let (rec, gen_p50) = latency_record(
-        "serve/tiny_batch_general",
-        &mut gen_lat,
-        after_gen.hits - after_fast.hits,
-        after_gen.misses - after_fast.misses,
-    );
-    load_records.push(rec);
-    println!(
-        "tiny-batch fast path p50: {:.2}x below the general batched path",
-        gen_p50 / fast_p50
-    );
-    load_records.push(Json::Obj(vec![
-        (
-            "name".to_string(),
-            Json::Str("serve/tiny_batch_saving".into()),
-        ),
-        ("fast_p50_s".to_string(), Json::Num(fast_p50)),
-        ("general_p50_s".to_string(), Json::Num(gen_p50)),
-        (
-            "p50_ratio_general_over_fast".to_string(),
-            Json::Num(gen_p50 / fast_p50),
-        ),
-    ]));
-
-    // PR 9 — dispatch before/after: the full cold+warm drive under the
-    // scoped-spawn baseline (before) and the persistent pool (after).
-    // Cold solves fan annealer restarts out per request, so the cold p50
-    // carries the dispatch saving; warm hits never dispatch and should
-    // show parity. Answers must be bit-identical across dispatchers.
-    group("serve_dispatch_before_after");
-    let mut outs_by_dispatch: Vec<(Vec<ServeOutcome>, Vec<ServeOutcome>)> = Vec::new();
-    for (d, tag) in [
-        (par::Dispatch::ScopedBaseline, "scoped"),
-        (par::Dispatch::Pooled, "pooled"),
-    ] {
-        par::set_dispatch(d);
-        let mut service = Service::new(config());
-        let (mut cold_lat, cold_outs) = drive(&mut service, &mix);
-        let cold_stats = service.stats();
-        let (rec, _) = latency_record(
-            &format!("serve/cold_t4_{tag}"),
-            &mut cold_lat,
-            cold_stats.hits,
-            cold_stats.misses,
-        );
-        load_records.push(rec);
-        let mut warm_lat = Vec::new();
-        let mut warm_outs = Vec::new();
-        for _ in 0..WARM_PASSES {
-            let (lat, outs) = drive(&mut service, &mix);
-            warm_lat.extend(lat);
-            warm_outs = outs;
-        }
-        let warm_stats = service.stats();
-        let (rec, _) = latency_record(
-            &format!("serve/warm_t4_{tag}"),
-            &mut warm_lat,
-            warm_stats.hits - cold_stats.hits,
-            warm_stats.misses - cold_stats.misses,
-        );
-        load_records.push(rec);
-        outs_by_dispatch.push((cold_outs, warm_outs));
-        par::set_dispatch(par::Dispatch::Pooled);
     }
-    let (before, after) = (&outs_by_dispatch[0], &outs_by_dispatch[1]);
-    assert_identical(&before.0, &after.0, "cold scoped vs pooled");
-    assert_identical(&before.1, &after.1, "warm scoped vs pooled");
+    let after = warmed_service.stats();
+    let (rec, _) = latency_record(
+        "serve/tiny_batch",
+        &mut tiny_lat,
+        after.hits - warmed.hits,
+        after.misses - warmed.misses,
+    );
+    load_records.push(rec);
     par::reset_threads();
 
     // PR 10 — deadline mix: the same medium mix under tight / mid /
@@ -546,6 +466,7 @@ fn main() {
         deadline_records,
     );
 
+    load_records.push(host_record());
     merge_section(
         Path::new(concat!(
             env!("CARGO_MANIFEST_DIR"),

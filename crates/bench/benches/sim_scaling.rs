@@ -10,7 +10,7 @@ use qmldb_bench::experiments::e01_sim_scaling::random_layered_circuit;
 use qmldb_bench::json::{host_record, merge_section, timing_record, Json};
 use qmldb_bench::timing::{bench, group};
 use qmldb_math::{par, Rng64};
-use qmldb_sim::{Circuit, Simulator, StateVector};
+use qmldb_sim::{Circuit, StateVector};
 use std::path::Path;
 
 /// Complete-graph QAOA circuit: p rounds of (cost = RZZ on every pair,
@@ -143,26 +143,27 @@ fn main() {
     grid.push(host_record());
     merge_section(Path::new(out), "threads_x_qubits", grid);
 
-    // PR 9 acceptance — per-fan-out dispatch overhead, persistent pool vs
-    // the kept-for-bench scoped-spawn baseline. Four near-empty jobs at
-    // set_threads(4) make each map call all dispatch and no work, so the
-    // timing gap is exactly the cost the pool amortizes away (parked
-    // workers woken by condvar vs four fresh OS threads per call).
+    // Per-fan-out dispatch overhead: the persistent pool against one
+    // fresh OS thread per job, the spawn-per-call scheme the pool
+    // replaced. Both sides run the same four near-empty jobs `par::map`
+    // builds at set_threads(4), so each call is all dispatch and no work
+    // and the timing gap is exactly the cost the pool amortizes away.
     group("dispatch_overhead");
     par::set_threads(4);
     let tiny: Vec<u64> = (0..4).collect();
-    let time_dispatch = |d: par::Dispatch, label: &str| {
-        par::set_dispatch(d);
-        let t = bench(label, 300, || {
-            par::map(&tiny, |i, &x| x.wrapping_add(i as u64))
-                .iter()
-                .sum::<u64>()
+    let job = |i: usize, x: u64| x.wrapping_add(i as u64);
+    let pooled = bench("tiny_fanout_pooled", 300, || {
+        par::map(&tiny, |i, &x| job(i, x)).iter().sum::<u64>()
+    });
+    let scoped = bench("tiny_fanout_scoped", 300, || {
+        let mut out = [0u64; 4];
+        std::thread::scope(|scope| {
+            for (i, (slot, &x)) in out.iter_mut().zip(&tiny).enumerate() {
+                scope.spawn(move || *slot = job(i, x));
+            }
         });
-        par::set_dispatch(par::Dispatch::Pooled);
-        t
-    };
-    let pooled = time_dispatch(par::Dispatch::Pooled, "tiny_fanout_pooled");
-    let scoped = time_dispatch(par::Dispatch::ScopedBaseline, "tiny_fanout_scoped");
+        out.iter().sum::<u64>()
+    });
     let ratio = scoped.median / pooled.median;
     println!("pooled dispatch overhead: {ratio:.1}x lower than scoped spawning (median)");
     assert!(
@@ -182,38 +183,6 @@ fn main() {
             ("jobs_per_fanout".to_string(), Json::Num(4.0)),
         ]),
     ];
-
-    // Before/after rows for compiled run_batch: the same four-circuit
-    // batch timed under each dispatcher at 4 workers, with answers pinned
-    // bit-identical across the two. (On a single-core container the
-    // saving is the spawn cost; on a multi-core host the pool keeps the
-    // same parallel speedup without it.)
-    for n in [14usize, 16] {
-        let mut rng = Rng64::new(4);
-        let batch: Vec<Circuit> = (0..4).map(|_| qaoa_style_circuit(n, 1, &mut rng)).collect();
-        let gates = batch.iter().map(|c| c.len()).sum::<usize>() as f64;
-        let sim = Simulator::new();
-        let mut outs = Vec::new();
-        for (d, tag) in [
-            (par::Dispatch::ScopedBaseline, "scoped"),
-            (par::Dispatch::Pooled, "pooled"),
-        ] {
-            par::set_dispatch(d);
-            let t = bench(&format!("run_batch_{n}q_{tag}"), 5, || {
-                sim.run_batch(&batch, &[]).len()
-            });
-            outs.push(sim.run_batch(&batch, &[]));
-            par::set_dispatch(par::Dispatch::Pooled);
-            let mut rec = timing_record(&format!("run_batch/qaoa{n}/{tag}"), &t, Some(gates));
-            rec.set("qubits", Json::Num(n as f64));
-            rec.set("dispatch", Json::Str(tag.to_string()));
-            overhead.push(rec);
-        }
-        assert!(
-            outs[0] == outs[1],
-            "{n}q: run_batch diverged bitwise between dispatchers"
-        );
-    }
     par::reset_threads();
     overhead.push(host_record());
     merge_section(Path::new(out), "dispatch_overhead", overhead);

@@ -44,9 +44,7 @@ pub use index::{IndexCandidate, IndexSelection};
 pub use instances::{IndexParams, InstanceGenerator, JoinOrderParams, MqoParams, TxParams};
 pub use joinorder::{CostModel, JoinTree};
 pub use mqo::MqoInstance;
-pub use optimizer::{
-    optimize, optimize_index_selection, optimize_mqo, optimize_tx_schedule, OptimizedPlan, Strategy,
-};
+pub use optimizer::{optimize, OptimizedPlan, Strategy};
 pub use portfolio::{Portfolio, PortfolioOutcome, Solver, SolverRun};
 pub use problem::QuboProblem;
 pub use qubo_jo::JoinOrderQubo;

@@ -5,21 +5,16 @@
 //! solver [`Portfolio`]. This is the adoption surface: swap
 //! `Strategy::ExactDp` for `Strategy::AnnealedQubo` without touching
 //! anything else. The non-join workloads — MQO, index selection,
-//! transaction scheduling — are first-class here too via
-//! [`optimize_mqo`], [`optimize_index_selection`], and
-//! [`optimize_tx_schedule`].
+//! transaction scheduling — go straight to [`Portfolio::solve`].
 
-use crate::index::IndexSelection;
 use crate::joinorder::{
     goo, ikkbz, left_deep_cost, optimize_bushy, optimize_left_deep, random_orders, CostModel,
     JoinTree,
 };
-use crate::mqo::MqoInstance;
-use crate::portfolio::{Portfolio, PortfolioOutcome, Solver};
+use crate::portfolio::{Portfolio, Solver};
 use crate::problem::QuboProblem;
 use crate::qubo_jo::JoinOrderQubo;
 use crate::query::JoinGraph;
-use crate::txsched::TxSchedule;
 use qmldb_anneal::device::{AnnealerDevice, DeviceConfig};
 use qmldb_anneal::{SaParams, SqaParams};
 use qmldb_math::Rng64;
@@ -196,37 +191,6 @@ pub fn optimize(
     Ok(plan)
 }
 
-/// Optimizes a multiple-query-optimization instance through the portfolio:
-/// returns the chosen plan per query and the total cost after sharing.
-pub fn optimize_mqo(
-    instance: &MqoInstance,
-    portfolio: &Portfolio,
-    rng: &mut Rng64,
-) -> PortfolioOutcome<Vec<usize>> {
-    portfolio.solve(instance, rng)
-}
-
-/// Optimizes an index-selection instance through the portfolio: returns the
-/// selected candidate set; `objective` is the *negated* benefit (the
-/// portfolio minimizes), so negate it back for the benefit value.
-pub fn optimize_index_selection(
-    instance: &IndexSelection,
-    portfolio: &Portfolio,
-    rng: &mut Rng64,
-) -> PortfolioOutcome<Vec<bool>> {
-    portfolio.solve(instance, rng)
-}
-
-/// Optimizes a transaction schedule through the portfolio: returns the
-/// slot assignment per transaction and its conflict cost.
-pub fn optimize_tx_schedule(
-    instance: &TxSchedule,
-    portfolio: &Portfolio,
-    rng: &mut Rng64,
-) -> PortfolioOutcome<Vec<usize>> {
-    portfolio.solve(instance, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +314,7 @@ mod tests {
             sharing_density: 0.5,
         }
         .generate(&mut rng);
-        let out = optimize_mqo(&m, &p, &mut rng);
+        let out = p.solve(&m, &mut rng);
         assert!(m.is_feasible(&m.encode_solution(&out.solution)));
 
         let s = IndexParams {
@@ -358,7 +322,7 @@ mod tests {
             budget_frac: 0.4,
         }
         .generate(&mut rng);
-        let out = optimize_index_selection(&s, &p, &mut rng);
+        let out = p.solve(&s, &mut rng);
         assert!(s.is_feasible(&s.encode_solution(&out.solution)));
         assert!(-out.objective >= 0.0, "benefit must be non-negative");
 
@@ -368,7 +332,7 @@ mod tests {
             density: 0.5,
         }
         .generate(&mut rng);
-        let out = optimize_tx_schedule(&t, &p, &mut rng);
+        let out = p.solve(&t, &mut rng);
         assert!(t.is_feasible(&t.encode_solution(&out.solution)));
     }
 }

@@ -6,7 +6,7 @@
 //! such maps into contiguous chunks and executes one job per chunk on the
 //! persistent worker pool ([`pool`]), while keeping the one contract the
 //! rest of the workspace is built on: **results are bit-identical for 1
-//! and N threads** (and for the pooled vs the scoped-spawn dispatcher).
+//! and N threads**.
 //!
 //! Two rules make that hold:
 //!
@@ -18,12 +18,8 @@
 //!    identically however many threads execute the map.
 //!
 //! The chunk geometry is a pure function of `(item count, thread count)`
-//! — never of scheduling — and the per-chunk job bodies are what the
-//! dispatcher executes verbatim, so *which* dispatcher runs them cannot
-//! change a single rounding. [`Dispatch::ScopedBaseline`] keeps the
-//! original spawn-per-call dispatcher selectable for the
-//! `dispatch_overhead` benchmark and the pooled-vs-scoped determinism pin;
-//! production always runs [`Dispatch::Pooled`].
+//! — never of scheduling — and the pool executes the per-chunk job bodies
+//! verbatim, so *which* thread runs a job cannot change a single rounding.
 //!
 //! The pool width comes from the `QMLDB_THREADS` environment variable
 //! (default: the machine's available parallelism), read once per process;
@@ -80,68 +76,17 @@ pub fn reset_threads() {
     OVERRIDE.store(0, Ordering::Relaxed);
 }
 
-/// Which dispatcher executes fan-out jobs. The job bodies and chunk
-/// geometry are identical either way, so both produce bit-identical
-/// results; only the dispatch cost differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Dispatch {
-    /// The persistent worker pool ([`pool`]) — parked workers woken per
-    /// call, with the caller executing chunks of its own batch. The
-    /// production dispatcher.
-    Pooled,
-    /// Per-call `std::thread::scope` spawning — the pre-pool dispatcher,
-    /// kept selectable as the measured baseline for the
-    /// `dispatch_overhead` benchmark and the pooled-vs-scoped
-    /// determinism pin. Pays a thread spawn per chunk per call.
-    ScopedBaseline,
-}
-
-/// Active dispatcher; 0 = pooled (default), 1 = scoped baseline.
-static DISPATCH: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the dispatcher process-wide. Benchmark/test hook: production
-/// code never calls this.
-pub fn set_dispatch(d: Dispatch) {
-    DISPATCH.store(
-        match d {
-            Dispatch::Pooled => 0,
-            Dispatch::ScopedBaseline => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The dispatcher fan-outs currently run on.
-pub fn dispatch() -> Dispatch {
-    match DISPATCH.load(Ordering::Relaxed) {
-        1 => Dispatch::ScopedBaseline,
-        _ => Dispatch::Pooled,
-    }
-}
-
-/// Executes one pre-built job per chunk on the active dispatcher and
-/// returns when all have finished. Every `par` primitive funnels through
-/// here: the primitive owns the chunk geometry and disjoint-output
-/// splitting (all safe code), the dispatcher only runs the closures. A
-/// panicking job surfaces on the calling thread after all jobs finish,
-/// for both dispatchers.
+/// Executes one pre-built job per chunk on the worker pool and returns
+/// when all have finished. Every `par` primitive funnels through here: the
+/// primitive owns the chunk geometry and disjoint-output splitting (all
+/// safe code), the pool only runs the closures. A panicking job surfaces
+/// on the calling thread after all jobs finish.
 fn fanout<J: FnMut() + Send>(jobs: &mut [J]) {
-    match dispatch() {
-        Dispatch::Pooled => {
-            let mut refs: Vec<&mut (dyn FnMut() + Send)> = jobs
-                .iter_mut()
-                .map(|j| j as &mut (dyn FnMut() + Send))
-                .collect();
-            pool::run(&mut refs);
-        }
-        Dispatch::ScopedBaseline => {
-            std::thread::scope(|scope| {
-                for job in jobs.iter_mut() {
-                    scope.spawn(job);
-                }
-            });
-        }
-    }
+    let mut refs: Vec<&mut (dyn FnMut() + Send)> = jobs
+        .iter_mut()
+        .map(|j| j as &mut (dyn FnMut() + Send))
+        .collect();
+    pool::run(&mut refs);
 }
 
 /// Maps `f` over `items` on up to [`thread_count`] pool workers,
@@ -430,8 +375,7 @@ mod tests {
 
     /// Runs `body` under an explicit thread-count override, restoring the
     /// previous override afterwards. Serialized so concurrent unit tests
-    /// don't fight over the process-wide setting (the dispatch selector
-    /// shares the same lock).
+    /// don't fight over the process-wide setting.
     fn with_threads<R>(n: usize, body: impl FnOnce() -> R) -> R {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _guard = LOCK.lock().unwrap();
@@ -498,42 +442,6 @@ mod tests {
     fn map_indices_matches_manual_loop() {
         let expect: Vec<usize> = (0..25).map(|i| i * i).collect();
         assert_eq!(with_threads(3, || map_indices(25, |i| i * i)), expect);
-    }
-
-    #[test]
-    fn pooled_and_scoped_dispatch_agree_bitwise() {
-        // The scoped baseline is kept precisely so this comparison stays
-        // measurable and testable: same chunk geometry, same job bodies,
-        // different dispatcher — outputs must not differ in a single bit.
-        let items: Vec<f64> = (0..513).map(|i| i as f64 * 0.37 - 9.0).collect();
-        let work = |_, x: &f64| (x.sin() * x.cos()).to_bits();
-        let (pooled, scoped) = with_threads(4, || {
-            assert_eq!(dispatch(), Dispatch::Pooled, "pooled must be the default");
-            let pooled = map(&items, work);
-            set_dispatch(Dispatch::ScopedBaseline);
-            let scoped = map(&items, work);
-            set_dispatch(Dispatch::Pooled);
-            (pooled, scoped)
-        });
-        assert_eq!(pooled, scoped);
-
-        let slab_run = |d: Dispatch| {
-            with_threads(4, || {
-                set_dispatch(d);
-                let mut data: Vec<f64> = (0..2048).map(|i| i as f64 * 0.5).collect();
-                for_slabs(&mut data, 256, |base, slab| {
-                    for (k, x) in slab.iter_mut().enumerate() {
-                        *x = x.sin() + (base + k) as f64;
-                    }
-                });
-                set_dispatch(Dispatch::Pooled);
-                data
-            })
-        };
-        assert_eq!(
-            slab_run(Dispatch::Pooled),
-            slab_run(Dispatch::ScopedBaseline)
-        );
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! reorders the work inside them. Which thread runs a job — and in what
 //! interleaving — is scheduling-dependent, but every job writes only its
 //! own output slots (the `par` contract), so results are byte-for-byte
-//! identical to the scoped-spawn dispatcher for any thread count. The
-//! `parallel_determinism` suite pins pooled-vs-scoped equality directly.
+//! identical for any thread count. The `par` unit tests and the
+//! `parallel_determinism` suite pin 1-vs-N-thread equality.
 //!
 //! # Safety argument (the one `unsafe` core in the workspace)
 //!
@@ -84,7 +84,7 @@
 //! Panics inside a job are caught at the executor, recorded in the batch
 //! (first panic wins, matching `std::thread::scope`), and resumed on the
 //! calling thread after the barrier — so a caller observes a worker panic
-//! exactly where the scoped dispatcher would have surfaced it, and the
+//! exactly where `std::thread::scope` would have surfaced it, and the
 //! pool (which never unwinds through its own state) stays usable.
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -145,82 +145,7 @@ impl Service {
     }
 
     /// Submits a batch; returns one reply per request, in order.
-    ///
-    /// Single-request batches — the point-query shape every wire `submit`
-    /// takes — skip the batch machinery entirely: no plan/miss vectors,
-    /// no coalescing map, no fan-out dispatch. Prepare and solve run
-    /// inline on the calling thread, with replies and counters identical
-    /// to the general path's (a solve keyed by `(seed, signature)` is
-    /// thread-count invariant, so the two paths are bit-identical).
     pub fn submit_batch(&mut self, requests: &[Request]) -> Vec<Reply> {
-        if let [request] = requests {
-            return vec![self.submit_one(request)];
-        }
-        self.submit_batch_general(requests)
-    }
-
-    /// The tiny-batch fast path: one request, fully inline. Mirrors the
-    /// four phases of [`Self::submit_batch_general`] with every batch
-    /// structure collapsed away.
-    fn submit_one(&mut self, req: &Request) -> Reply {
-        self.requests += 1;
-        let arrival = Instant::now();
-        // Prepare.
-        let (problem, encoded, signature, key) =
-            match prepare(req, self.portfolio.max_penalty_doublings) {
-                Ok(p) => p,
-                Err(e) => {
-                    self.errors += 1;
-                    return Reply::Error(e);
-                }
-            };
-        // Admit. An already-expired deadline is checked before the cache
-        // probe: the client stopped waiting, so even a free answer is
-        // useless (and a probe would skew recency for nothing).
-        let deadline = req.deadline_at(arrival);
-        if deadline.is_some_and(|at| Instant::now() >= at) {
-            self.deadline_expired += 1;
-            return Reply::Expired {
-                deadline_ms: req.deadline_ms.unwrap_or(0.0),
-            };
-        }
-        if let Some(summary) = self.cache.get(key) {
-            let summary = summary.clone();
-            return Reply::Done(outcome(req, signature, &summary, true));
-        }
-        if self.max_pending == 0 {
-            self.rejections += 1;
-            return Reply::Rejected {
-                pending: 0,
-                max_pending: 0,
-            };
-        }
-        // Solve + publish. Degraded (deadline- or cancel-cut) answers are
-        // never cached: a later unconstrained request deserves the full
-        // solve, not a truncated one.
-        let mut rng = Rng64::for_stream(req.seed, signature);
-        let solve_started = Instant::now();
-        let summary = problem.solve(
-            &self.portfolio,
-            &encoded,
-            &solve_budget(deadline, &self.cancel),
-            &mut rng,
-        );
-        let solve_cost = solve_started.elapsed().as_secs_f64();
-        if summary.degraded {
-            self.degraded += 1;
-        } else {
-            self.cache
-                .insert_with_cost(key, summary.clone(), solve_cost);
-        }
-        Reply::Done(outcome(req, signature, &summary, false))
-    }
-
-    /// The general batched path. Public (but hidden) so the `serve_load`
-    /// benchmark can measure the tiny-batch fast path against it; callers
-    /// use [`Self::submit_batch`], which picks the path.
-    #[doc(hidden)]
-    pub fn submit_batch_general(&mut self, requests: &[Request]) -> Vec<Reply> {
         self.requests += requests.len() as u64;
         let arrival = Instant::now();
 
@@ -233,9 +158,9 @@ impl Service {
         // so admission stays positional, not timing-raced within it. A
         // miss carries the deadline of its *first* committer; coalesced
         // duplicates share that solve (and its possible degradation).
-        type Miss = (
-            BuiltProblem,
-            (Qubo, Constraints),
+        type Miss<'a> = (
+            &'a BuiltProblem,
+            &'a (Qubo, Constraints),
             u64,
             u64,
             u64,
@@ -255,6 +180,9 @@ impl Service {
                     continue;
                 }
             };
+            // Expiry is screened before the cache probe: the client has
+            // stopped waiting, so even a free answer is useless (and a
+            // probe would skew recency for nothing).
             let deadline = req.deadline_at(arrival);
             if deadline.is_some_and(|at| admit_now >= at) {
                 self.deadline_expired += 1;
@@ -277,14 +205,7 @@ impl Service {
             }
             pending_of.insert(*key, misses.len());
             plans.push(Plan::Pending(misses.len()));
-            misses.push((
-                problem.clone(),
-                encoded.clone(),
-                *signature,
-                *key,
-                req.seed,
-                deadline,
-            ));
+            misses.push((problem, encoded, *signature, *key, req.seed, deadline));
         }
         let committed = misses.len();
 

@@ -6,8 +6,8 @@ use qmldb_anneal::{SaParams, TabuParams};
 use qmldb_db::{Portfolio, Solver};
 use qmldb_math::json::MAX_LINE_BYTES;
 use qmldb_serve::{
-    spawn, Reply, Request, ServeOutcome, Service, ServiceConfig, Solution, WorkloadSpec,
-    MAX_DEADLINE_MS,
+    spawn, Reply, Request, ServeOutcome, Service, ServiceConfig, ServiceStats, Solution,
+    WorkloadSpec, MAX_DEADLINE_MS,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -167,74 +167,6 @@ fn batch_and_singles_agree() {
 }
 
 #[test]
-fn tiny_batch_fast_path_matches_general_path_exactly() {
-    // PR 9: single-request batches take an inline fast path that skips
-    // the fan-out machinery. Replies, counters, and cache state must be
-    // indistinguishable from the general batched path.
-    for seed in [3u64, 11] {
-        for req in four_workloads(seed) {
-            let mut fast = Service::new(quick_config());
-            let mut general = Service::new(quick_config());
-            // Cold miss, then warm hit, on both paths.
-            for _ in 0..2 {
-                let f = fast.submit_batch(std::slice::from_ref(&req));
-                let g = general.submit_batch_general(std::slice::from_ref(&req));
-                assert_eq!(f.len(), 1);
-                assert_eq!(g.len(), 1);
-                assert_outcomes_identical(done(&f[0]), done(&g[0]));
-                assert_eq!(done(&f[0]).cached, done(&g[0]).cached);
-            }
-            assert_eq!(fast.stats(), general.stats());
-        }
-    }
-
-    // Malformed request: both paths answer a permanent error and count it.
-    let bad = Request {
-        workload: WorkloadSpec::JoinOrder {
-            cardinalities: vec![],
-            edges: vec![],
-        },
-        seed: 1,
-        deadline_ms: None,
-    };
-    let mut fast = Service::new(quick_config());
-    let mut general = Service::new(quick_config());
-    let f = fast.submit_batch(std::slice::from_ref(&bad));
-    let g = general.submit_batch_general(std::slice::from_ref(&bad));
-    assert!(matches!((&f[0], &g[0]), (Reply::Error(a), Reply::Error(b)) if a == b));
-    assert_eq!(fast.stats(), general.stats());
-
-    // max_pending == 0 edge: a cold single request is rejected with the
-    // same retryable reply on both paths.
-    let zero = ServiceConfig {
-        max_pending: 0,
-        ..quick_config()
-    };
-    let req = four_workloads(9).remove(0);
-    let mut fast = Service::new(zero.clone());
-    let mut general = Service::new(zero);
-    let f = fast.submit_batch(std::slice::from_ref(&req));
-    let g = general.submit_batch_general(std::slice::from_ref(&req));
-    match (&f[0], &g[0]) {
-        (
-            Reply::Rejected {
-                pending: pf,
-                max_pending: mf,
-            },
-            Reply::Rejected {
-                pending: pg,
-                max_pending: mg,
-            },
-        ) => {
-            assert_eq!((pf, mf), (pg, mg));
-            assert_eq!(*pf, 0);
-        }
-        other => panic!("expected Rejected on both paths, got {other:?}"),
-    }
-    assert_eq!(fast.stats(), general.stats());
-}
-
-#[test]
 fn in_batch_duplicates_coalesce_onto_one_solve() {
     let mut service = Service::new(quick_config());
     let req = four_workloads(5).remove(1);
@@ -277,6 +209,29 @@ fn admission_control_rejects_overflow_and_retry_succeeds() {
         }
     }
     assert_eq!(service.stats().rejections, 2);
+
+    // With an admission depth of zero a cold single request is rejected
+    // before any solve: one request, one miss, one rejection.
+    let mut closed = Service::new(ServiceConfig {
+        max_pending: 0,
+        ..quick_config()
+    });
+    assert_eq!(
+        closed.submit(&batch[0]),
+        Reply::Rejected {
+            pending: 0,
+            max_pending: 0,
+        }
+    );
+    assert_eq!(
+        closed.stats(),
+        ServiceStats {
+            requests: 1,
+            misses: 1,
+            rejections: 1,
+            ..ServiceStats::default()
+        }
+    );
 
     // Retrying the rejected tail on the drained service succeeds and
     // matches what an unthrottled service computes.
@@ -365,9 +320,36 @@ fn malformed_requests_get_permanent_errors() {
         deadline_ms: None,
     };
     let reply = service.submit(&bad);
-    assert!(matches!(reply, Reply::Error(_)));
+    assert_eq!(
+        reply,
+        Reply::Error("join-order: selectivity 1.5 outside (0,1]".into())
+    );
     assert!(!reply.retryable());
     assert_eq!(service.stats().errors, 1);
+
+    // An empty graph is refused the same way. It counts as a request and
+    // an error, and never reaches the cache.
+    let before = service.stats();
+    let empty = Request {
+        workload: WorkloadSpec::JoinOrder {
+            cardinalities: vec![],
+            edges: vec![],
+        },
+        seed: 1,
+        deadline_ms: None,
+    };
+    assert_eq!(
+        service.submit(&empty),
+        Reply::Error("join-order: empty graph".into())
+    );
+    assert_eq!(
+        service.stats(),
+        ServiceStats {
+            requests: before.requests + 1,
+            errors: before.errors + 1,
+            ..before
+        }
+    );
 
     // A malformed request in a batch does not poison its neighbours.
     let good = four_workloads(2).remove(3);

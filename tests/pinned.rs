@@ -24,11 +24,14 @@ use qmldb::anneal::{
 };
 use qmldb::db::instances::{IndexParams, InstanceGenerator, JoinOrderParams, MqoParams, TxParams};
 use qmldb::db::{Portfolio, PortfolioOutcome, QuboProblem, Solver, Topology};
+use qmldb::math::json::Json;
 use qmldb::math::{Rng64, C64};
 use qmldb::qml::ansatz::hardware_efficient;
 use qmldb::qml::qaoa::maxcut_hamiltonian;
 use qmldb::qml::vqe::transverse_field_ising;
 use qmldb::qml::{Entanglement, FeatureMap, GradientEngine, Qaoa, QuantumKernel, Vqe};
+use qmldb::serve::wire::{reply_json, stats_json};
+use qmldb::serve::{Request, Service, ServiceConfig, WorkloadSpec};
 use qmldb::sim::{AdjointGradient, Angle, Circuit, Gate, PauliString, PauliSum, Simulator};
 
 /// A running FNV-1a fingerprint.
@@ -289,6 +292,86 @@ fn serve_lineup_solves() {
     let out = portfolio.solve(&t, &mut rng);
     h.u64(outcome_print(&t, &out, &mut rng));
     pin("serve_lineup_solves", h.0, 0xc848_d993_7730_f2c1);
+}
+
+/// One request per workload family, small enough for the default lineup.
+fn serve_requests(seed: u64) -> Vec<Request> {
+    [
+        WorkloadSpec::JoinOrder {
+            cardinalities: vec![1000.0, 10.0, 500.0, 2000.0],
+            edges: vec![(0, 1, 0.01), (1, 2, 0.02), (2, 3, 0.001)],
+        },
+        WorkloadSpec::Mqo {
+            plan_costs: vec![vec![10.0, 12.0], vec![8.0, 9.0], vec![15.0, 11.0]],
+            savings: vec![((0, 0), (1, 1), 3.5), ((1, 0), (2, 1), 2.0)],
+        },
+        WorkloadSpec::IndexSelection {
+            sizes: vec![40.0, 25.0, 30.0],
+            benefits: vec![90.0, 60.0, 45.0],
+            interactions: vec![(0, 1, 20.0)],
+            budget: 70.0,
+        },
+        WorkloadSpec::TxSchedule {
+            n_tx: 6,
+            n_slots: 3,
+            conflicts: vec![(0, 1, 2.5), (2, 4, 1.0), (1, 5, 0.5)],
+            balance_weight: 0.5,
+        },
+    ]
+    .into_iter()
+    .map(|workload| Request {
+        workload,
+        seed,
+        deadline_ms: None,
+    })
+    .collect()
+}
+
+#[test]
+fn serve_reply_lines() {
+    // The exact reply and stats lines the wire would send for a scripted
+    // session: every workload cold then warm, a malformed request, a
+    // dead-on-arrival deadline, a batch with a coalesced duplicate and an
+    // invalid request, and a cold request to a service admitting nothing.
+    let mut h = Print::new();
+    let mut line = |json: Json| {
+        h.0 = fnv1a(h.0, json.compact().as_bytes());
+        h.0 = fnv1a(h.0, b"\n");
+    };
+    let mut service = Service::new(ServiceConfig::default());
+    let requests = serve_requests(5);
+    for _cold_then_warm in 0..2 {
+        for req in &requests {
+            line(reply_json(&service.submit(req)));
+        }
+        line(stats_json(&service.stats()));
+    }
+    let malformed = Request {
+        workload: WorkloadSpec::JoinOrder {
+            cardinalities: vec![100.0, 50.0],
+            edges: vec![(0, 1, 1.5)],
+        },
+        seed: 1,
+        deadline_ms: None,
+    };
+    line(reply_json(&service.submit(&malformed)));
+    line(stats_json(&service.stats()));
+    let mut doa = serve_requests(6).remove(1);
+    doa.deadline_ms = Some(0.0);
+    line(reply_json(&service.submit(&doa)));
+    line(stats_json(&service.stats()));
+    let fresh = serve_requests(7).remove(3);
+    for reply in &service.submit_batch(&[fresh.clone(), malformed, fresh]) {
+        line(reply_json(reply));
+    }
+    line(stats_json(&service.stats()));
+    let mut closed = Service::new(ServiceConfig {
+        max_pending: 0,
+        ..ServiceConfig::default()
+    });
+    line(reply_json(&closed.submit(&serve_requests(8).remove(0))));
+    line(stats_json(&closed.stats()));
+    pin("serve_reply_lines", h.0, 0x838c_c5a3_11df_bb80);
 }
 
 /// The Ising model and QUBO of one `auto_penalty` encoding.
