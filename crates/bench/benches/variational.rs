@@ -3,10 +3,12 @@
 //! (12 qubits, depth 4), and end-to-end VQC training (the E3
 //! configuration) against the pre-adjoint serial loop.
 //!
-//! Emits the `variational` section of `BENCH_train.json`. Everything is
-//! pinned to one worker: the speedups under test are algorithmic
-//! (O(1) sweeps vs 2k runs; batched loss reuse vs recompute), and
-//! letting the new path fan out would flatter them.
+//! Emits the `variational` section of `BENCH_train.json`. Everything but
+//! the `vqc_train_8q` rows is pinned to one worker: the speedups under
+//! test are algorithmic (O(1) sweeps vs 2k runs; batched loss reuse vs
+//! recompute), and letting the new path fan out would flatter them. The
+//! `vqc_train_8q` rows time the repo benchmark's training shape at one
+//! and two workers.
 
 use qmldb_bench::json::{host_record, merge_section, timing_record, Json};
 use qmldb_bench::timing::{bench, group};
@@ -182,9 +184,56 @@ fn main() {
         ("samples".to_string(), Json::Num(d.x.len() as f64)),
         ("epochs".to_string(), Json::Num(cfg.epochs as f64)),
     ]));
-    // Timings are single-worker, but the host they ran on is part of the
-    // record; taken before the reset so `par_threads` reads the width the
-    // timings used.
+    // The repo benchmark's training shape (qbench `qml-train`): 8 qubits,
+    // 2 layers, angle map, 24 samples in [0, π], 30 epochs on the adjoint
+    // path, at one and two workers. The two-worker row is the one the
+    // per-epoch fan-out and its chunking show in; `min_s` sits beside
+    // `median_s` because a descheduled worker lands in the median first.
+    group("vqc_train_8q");
+    let cfg = VqcConfig {
+        n_qubits: 8,
+        layers: 2,
+        feature_map: FeatureMap::Angle,
+        epochs: 30,
+        lr: 0.1,
+        grad: GradMethod::ParameterShift,
+        reupload: false,
+    };
+    let mut rng = Rng64::new(11);
+    let x: Vec<Vec<f64>> = (0..24)
+        .map(|_| {
+            (0..8)
+                .map(|_| rng.uniform_range(0.0, std::f64::consts::PI))
+                .collect()
+        })
+        .collect();
+    let y: Vec<f64> = x
+        .iter()
+        .map(|xi| {
+            if xi[0].cos() + 0.5 * xi[1].cos() * xi[2].cos() >= 0.0 {
+                1.0
+            } else {
+                -1.0
+            }
+        })
+        .collect();
+    let seed = rng.next_u64();
+    for threads in [1usize, 2] {
+        par::set_threads(threads);
+        let t = bench(&format!("train_t{threads}"), 20, || {
+            Vqc::train(cfg.clone(), &x, &y, &mut Rng64::new(seed))
+                .loss_history
+                .len()
+        });
+        let mut record = timing_record(&format!("vqc_train_8q/t{threads}"), &t, None);
+        record.set("threads", Json::Num(threads as f64));
+        records.push(record);
+    }
+    par::set_threads(1);
+
+    // Timings are single-worker unless a row says otherwise, but the host
+    // they ran on is part of the record; taken before the reset so
+    // `par_threads` reads the width the single-worker rows used.
     records.push(host_record());
     par::reset_threads();
 

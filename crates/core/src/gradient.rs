@@ -18,6 +18,7 @@
 
 use qmldb_math::Rng64;
 use qmldb_sim::{AdjointGradient, Angle, Circuit, CompiledCircuit, Gate, PauliSum, Simulator};
+use std::sync::OnceLock;
 
 const SHIFT: f64 = std::f64::consts::FRAC_PI_2;
 
@@ -206,31 +207,45 @@ impl ShiftGradient {
 /// any thread count and agree to solver precision (~1e-12; tested to
 /// 1e-9 against finite differences).
 pub struct GradientEngine {
-    shift: ShiftGradient,
+    /// The source circuit, kept for a shift engine built on first use.
+    circuit: Circuit,
+    /// The parameter-shift engine, compiled only when a noisy simulator
+    /// (or an engine built without the adjoint path) first needs it.
+    shift: OnceLock<ShiftGradient>,
     adjoint: Option<AdjointGradient>,
 }
 
 impl GradientEngine {
-    /// Builds the engine for `circuit`, compiling each path once. The
-    /// adjoint evaluator is only constructed when `sim` is ideal.
+    /// Builds the engine for `circuit`. On an ideal `sim` this compiles
+    /// the adjoint evaluator, which then serves expectations as well as
+    /// gradients; the shift engine waits until a noisy simulator asks for
+    /// it. On a noisy `sim` the shift engine is the only path and is
+    /// compiled here.
     ///
     /// # Panics
     /// Panics if a free parameter appears in a gate neither engine
     /// covers (`P`/`U3` — express them through RZ/RY instead).
     pub fn new(circuit: &Circuit, sim: &Simulator) -> Self {
-        let adjoint = sim
-            .noise()
-            .is_ideal()
-            .then(|| AdjointGradient::new(circuit));
+        let (adjoint, shift) = if sim.noise().is_ideal() {
+            (Some(AdjointGradient::new(circuit)), OnceLock::new())
+        } else {
+            (None, OnceLock::from(ShiftGradient::new(circuit)))
+        };
         GradientEngine {
-            shift: ShiftGradient::new(circuit),
+            circuit: circuit.clone(),
+            shift,
             adjoint,
         }
     }
 
+    /// The shift engine, compiled on first use.
+    fn shift(&self) -> &ShiftGradient {
+        self.shift.get_or_init(|| ShiftGradient::new(&self.circuit))
+    }
+
     /// Number of source-circuit parameters the gradient covers.
     pub fn n_params(&self) -> usize {
-        self.shift.n_params()
+        self.circuit.n_params()
     }
 
     /// True when gradients go through the adjoint sweep rather than the
@@ -239,16 +254,22 @@ impl GradientEngine {
         self.adjoint.is_some()
     }
 
-    /// `⟨H⟩` at `params` through the compiled circuit.
+    /// `⟨H⟩` at `params` through the compiled circuit. On an ideal
+    /// simulator this is the adjoint engine's forward pass, which
+    /// resolves each angle to the value the shift engine's auxiliary
+    /// parameter carries, so both give the same bits.
     pub fn expectation(&self, sim: &Simulator, params: &[f64], observable: &PauliSum) -> f64 {
-        self.shift.expectation(sim, params, observable)
+        match &self.adjoint {
+            Some(adj) if sim.noise().is_ideal() => adj.expectation(params, observable),
+            _ => self.shift().expectation(sim, params, observable),
+        }
     }
 
     /// Exact gradient of `⟨H⟩` with respect to every source parameter.
     pub fn gradient(&self, sim: &Simulator, params: &[f64], observable: &PauliSum) -> Vec<f64> {
         match &self.adjoint {
             Some(adj) if sim.noise().is_ideal() => adj.gradient(params, observable),
-            _ => self.shift.gradient(sim, params, observable),
+            _ => self.shift().gradient(sim, params, observable),
         }
     }
 
@@ -263,8 +284,8 @@ impl GradientEngine {
         match &self.adjoint {
             Some(adj) if sim.noise().is_ideal() => adj.value_and_gradient(params, observable),
             _ => (
-                self.shift.expectation(sim, params, observable),
-                self.shift.gradient(sim, params, observable),
+                self.shift().expectation(sim, params, observable),
+                self.shift().gradient(sim, params, observable),
             ),
         }
     }

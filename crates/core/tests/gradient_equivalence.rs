@@ -174,3 +174,57 @@ fn engine_matches_under_noise_through_the_shift_fallback() {
         },
     );
 }
+
+#[test]
+fn engine_expectation_matches_the_shift_engine_bit_for_bit() {
+    // On an ideal simulator `GradientEngine::expectation` runs the adjoint
+    // engine's forward pass (a cached encoding state, then the remaining
+    // ops), not the shift engine's auxiliary-parameter rewrite. Each
+    // angle resolves to `mult·θ + offset` on one side and to
+    // `1·(mult·θ + offset) + 0` on the other, the same bits but for an
+    // auxiliary value of −0.0. So the circuit mixes affine angles
+    // (mult ≠ 1, offset ≠ 0), plain ones and negated ones (mult −1,
+    // offset −0.0), and the parameters hold a −0.0 and a +0.0: a negated
+    // angle of the +0.0 one resolves to −0.0.
+    check::cases(
+        "engine_expectation_matches_the_shift_engine_bit_for_bit",
+        24,
+        |rng| {
+            let n = 2 + rng.below(4) as usize;
+            let mut c = Circuit::new(n);
+            let p: Vec<Angle> = (0..3).map(|_| c.new_param()).collect();
+            // A constant encoding prefix.
+            for q in 0..n {
+                c.ry(q, rng.uniform_range(0.0, std::f64::consts::PI));
+            }
+            for q in 1..n {
+                c.rzz(q - 1, q, rng.uniform_range(-2.0, 2.0));
+            }
+            for layer in 0..2 {
+                for q in 0..n {
+                    let affine = Angle::Param {
+                        idx: rng.index(3),
+                        mult: [-1.0, 0.5, rng.uniform_range(-2.0, 2.0)][rng.index(3)],
+                        offset: rng.uniform_range(-1.0, 1.0),
+                    };
+                    c.ry(q, affine).rz(q, p[(q + layer) % 3]);
+                }
+                c.rx(layer % n, p[rng.index(3)].neg());
+                for q in 1..n {
+                    c.cx(q - 1, q);
+                }
+                c.rzz(0, n - 1, p[layer]);
+            }
+            let obs = random_observable(n, rng);
+            let mut params = check::vec_f64(rng, 3, -2.0, 2.0);
+            let zero = rng.index(3);
+            params[zero] = -0.0;
+            params[(zero + 1) % 3] = 0.0;
+            let sim = Simulator::new();
+            let engine = GradientEngine::new(&c, &sim);
+            let got = engine.expectation(&sim, &params, &obs);
+            let want = ShiftGradient::new(&c).expectation(&sim, &params, &obs);
+            assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        },
+    );
+}

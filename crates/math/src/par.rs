@@ -21,6 +21,14 @@
 //! — never of scheduling — and the pool executes the per-chunk job bodies
 //! verbatim, so *which* thread runs a job cannot change a single rounding.
 //!
+//! [`map`] and [`map_rng`] cut their items into up to eight contiguous
+//! chunks per thread (`CHUNKS_PER_THREAD`), and free executors claim them
+//! in order. With one chunk per thread, an executor that started late
+//! (condvar wake latency, or host steal on a 2-vCPU machine) held back
+//! half of a two-way fan-out; with eight, the others run ahead through
+//! the chunks it would have had. The slab primitives ([`for_slabs`] and
+//! its pair and quad forms) keep one slab per thread.
+//!
 //! The pool width comes from the `QMLDB_THREADS` environment variable
 //! (default: the machine's available parallelism), read once per process;
 //! [`set_threads`] overrides it at runtime, which is what the determinism
@@ -34,6 +42,19 @@ pub mod pool;
 use crate::Rng64;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// The most contiguous chunks per thread [`map`] and [`map_rng`] cut
+/// their items into. Whichever executor is free claims the next chunk in
+/// order, so a worker that wakes late or is descheduled holds back one
+/// chunk instead of `1/threads` of the map.
+const CHUNKS_PER_THREAD: usize = 8;
+
+/// Items per chunk for a `len`-item map on `threads > 1` executors: up
+/// to [`CHUNKS_PER_THREAD`] chunks per thread, never empty ones. A pure
+/// function of `(len, threads)`.
+fn chunk_len(len: usize, threads: usize) -> usize {
+    len.div_ceil((threads * CHUNKS_PER_THREAD).min(len))
+}
 
 /// Runtime override installed by [`set_threads`]; 0 means "not set".
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -104,7 +125,7 @@ where
     if threads == 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let chunk = items.len().div_ceil(threads);
+    let chunk = chunk_len(items.len(), threads);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     {
         let f = &f;
@@ -148,7 +169,7 @@ where
             .map(|(i, (x, r))| f(i, x, r))
             .collect();
     }
-    let chunk = items.len().div_ceil(threads);
+    let chunk = chunk_len(items.len(), threads);
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     {
         let f = &f;
@@ -180,7 +201,7 @@ where
 
 /// Maps `f` over a few coarse work items of uneven cost, one pool job per
 /// item, returning outputs in item order. Unlike [`map`], which cuts its
-/// items into one contiguous chunk per thread, every item here is its
+/// items into a few contiguous chunks per thread, every item here is its
 /// own job and idle executors claim the next unclaimed one, so a long
 /// item never holds shorter ones hostage behind it in a chunk. Jobs are
 /// claimed in item order: put the longest first. Each item is mutated in
@@ -393,6 +414,51 @@ mod tests {
         let parallel = with_threads(4, || map(&items, |i, &x| x * 3 + i as u64));
         assert_eq!(serial, parallel);
         assert_eq!(serial[10], 40);
+    }
+
+    #[test]
+    fn a_stalled_item_holds_back_only_its_own_chunk() {
+        // Item 0 stalls until 13 other items have finished. With one
+        // chunk per thread, items 1–11 share item 0's chunk and only the
+        // other 12 can finish, so the wait runs into its timeout; with
+        // claimed chunks, the other executor works through the rest.
+        use std::time::{Duration, Instant};
+        let finished = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..24).collect();
+        let waited = with_threads(2, || {
+            map(&items, |i, _| {
+                if i == 0 {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while finished.load(Ordering::SeqCst) < 13 && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    return finished.load(Ordering::SeqCst);
+                }
+                finished.fetch_add(1, Ordering::SeqCst);
+                i
+            })
+        });
+        assert!(
+            waited[0] >= 13,
+            "item 0 saw only {} other items finish",
+            waited[0]
+        );
+        assert_eq!(&waited[1..], &items[1..]);
+    }
+
+    #[test]
+    fn chunk_rule_cuts_at_most_eight_chunks_per_thread() {
+        // A training epoch's 24 gradients on 2 threads: 12 chunks of 2.
+        // Four items on four threads (the `dispatch_overhead` bench) stay
+        // four one-item jobs.
+        assert_eq!(chunk_len(24, 2), 2);
+        assert_eq!(chunk_len(4, 4), 1);
+        for len in 2usize..300 {
+            for threads in 2..=len.min(9) {
+                let chunks = len.div_ceil(chunk_len(len, threads));
+                assert!(chunks >= threads && chunks <= threads * CHUNKS_PER_THREAD);
+            }
+        }
     }
 
     #[test]

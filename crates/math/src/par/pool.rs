@@ -35,13 +35,15 @@
 //! on jobs that some live thread (possibly itself) has already claimed.
 //!
 //! Workers are spawned lazily, one short of the largest fan-out width seen
-//! so far (the caller covers the last chunk), and never exit. A batch
+//! so far (the caller is the last executor), and never exit. A batch
 //! never spawns more than `par::thread_count() − 1` workers, however many
-//! jobs it holds: `par::map_uneven` hands the pool one job per coarse
-//! item, and its extra jobs wait for a free executor instead. Shrinking
-//! `par::set_threads` masks workers rather than retiring them: the chunk
-//! geometry callers build from [`super::thread_count`] is what bounds
-//! concurrency, and surplus workers just stay parked.
+//! jobs it holds: `par::map` and `par::map_rng` hand the pool up to eight
+//! chunks per thread and `par::map_uneven` one job per coarse item, and
+//! the jobs beyond the pool's width wait for whichever executor frees up
+//! first, in order. Shrinking `par::set_threads` masks workers rather
+//! than retiring them: the chunk geometry callers build from
+//! [`super::thread_count`] is what bounds concurrency, and surplus workers
+//! just stay parked.
 //!
 //! # Determinism
 //!

@@ -7,7 +7,10 @@
 //! sweeps, independent of `k`:
 //!
 //! 1. **Forward**: run the compiled circuit once, keeping the final state
-//!    `|ψ⟩ = U(θ)|0⟩`.
+//!    `|ψ⟩ = U(θ)|0⟩`. The leading ops that read no parameter (a VQC's
+//!    data encoding) run once at construction; every forward pass starts
+//!    from a clone of the state they leave
+//!    ([`CompiledCircuit::split_constant_prefix`]).
 //! 2. **Co-state**: form `|λ⟩ = H|ψ⟩` via [`PauliSum::apply_to`] (`λ` is
 //!    not normalized — `H` is Hermitian, not unitary).
 //! 3. **Backward**: walk the gates in reverse. At gate `j`, `|ψ⟩` holds
@@ -216,12 +219,17 @@ impl Undo {
 /// simulation.
 ///
 /// Construction scans the circuit for parameterized rotations, compiles
-/// the forward pass and lowers the backward undo steps;
+/// the forward pass, runs its constant prefix once (a VQC's data
+/// encoding) and lowers the backward undo steps;
 /// [`AdjointGradient::value_and_gradient`] then returns `E(θ)` and the
 /// exact full gradient for the cost of one compiled run plus one backward
 /// per-gate sweep — `O(m·2^n)` total, instead of the shift rule's
 /// `O(k·m·2^n)`.
 pub struct AdjointGradient {
+    /// The state after the circuit's constant prefix (the leading ops
+    /// that read no parameter, run once at construction from |0…0⟩).
+    start: StateVector,
+    /// The compiled ops after the constant prefix.
     compiled: CompiledCircuit,
     /// `undo[j]` pulls the sweep states back through instruction `j`.
     undo: Vec<Undo>,
@@ -231,8 +239,9 @@ pub struct AdjointGradient {
 }
 
 impl AdjointGradient {
-    /// Scans `circuit`, compiles the forward pass and lowers the backward
-    /// steps.
+    /// Scans `circuit`, compiles the forward pass, runs its constant
+    /// prefix from |0…0⟩ into the start state every forward pass clones,
+    /// and lowers the backward steps.
     ///
     /// # Panics
     /// Panics if a free parameter appears in a gate without a Pauli
@@ -280,8 +289,10 @@ impl AdjointGradient {
                 }
             }
         }
+        let (prefix, compiled) = circuit.compile().split_constant_prefix();
         AdjointGradient {
-            compiled: circuit.compile(),
+            start: prefix.execute(&[]),
+            compiled,
             undo: circuit.instrs().iter().map(Undo::new).collect(),
             occurrences,
             base: circuit.n_params(),
@@ -301,14 +312,21 @@ impl AdjointGradient {
 
     /// `⟨H⟩` at `params` through the compiled forward pass.
     pub fn expectation(&self, params: &[f64], observable: &PauliSum) -> f64 {
+        observable.expectation(&self.forward(params))
+    }
+
+    /// The compiled forward pass: the cached start state, run through the
+    /// ops after the constant prefix.
+    fn forward(&self, params: &[f64]) -> StateVector {
         self.check_params(params);
-        observable.expectation(&self.compiled.execute(params))
+        let mut psi = self.start.clone();
+        self.compiled.run(&mut psi, params);
+        psi
     }
 
     /// `(E(θ), ∂E/∂θ)` in one forward/backward sweep.
     pub fn value_and_gradient(&self, params: &[f64], observable: &PauliSum) -> (f64, Vec<f64>) {
-        self.check_params(params);
-        let mut psi = self.compiled.execute(params);
+        let mut psi = self.forward(params);
         let mut lam = observable.apply_to(&psi);
         // E = ⟨ψ|H|ψ⟩ = ⟨ψ|λ⟩ — real up to rounding for Hermitian H.
         let value = psi.inner(&lam).re;
@@ -656,7 +674,9 @@ mod tests {
     /// through the general popcount loop.
     fn interpreter_walk(c: &Circuit, params: &[f64], h: &PauliSum) -> (f64, Vec<f64>) {
         let ag = AdjointGradient::new(c);
-        let mut psi = ag.compiled.execute(params);
+        // An independent forward: the whole circuit compiled afresh and
+        // run from |0⟩, not the engine's start state and remaining ops.
+        let mut psi = c.compile().execute(params);
         let mut lam = h.apply_to(&psi);
         let value = psi.inner(&lam).re;
         let inverse = c.inverse();
@@ -676,23 +696,51 @@ mod tests {
     /// A random circuit over every rotation family (free, affine or
     /// constant angles, optionally controlled), X/CX/CCX, the two-qubit
     /// rotations and a few constant gates for the fallback path.
+    ///
+    /// It takes one of four shapes around the constant prefix the engine
+    /// runs once at construction: the plain mix; a constant prefix that
+    /// ends in a constant diagonal run right before a parameterized RZ or
+    /// RY (with RZ the run and the rotation compile into one diagonal
+    /// pass, which must stay out of the prefix); a parameterized first
+    /// gate (an empty prefix); and a circuit that reads no parameter.
     fn random_circuit(rng: &mut qmldb_math::Rng64, n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         c.new_params(3);
-        if rng.chance(0.5) {
-            for q in 0..n {
-                c.h(q);
+        let param = |rng: &mut qmldb_math::Rng64| Angle::Param {
+            idx: rng.index(3),
+            mult: [1.0, -1.0, rng.uniform_range(-2.0, 2.0)][rng.index(3)],
+            offset: [0.0, rng.uniform_range(-1.0, 1.0)][rng.index(2)],
+        };
+        let shape = rng.index(4);
+        match shape {
+            0 if rng.chance(0.5) => {
+                for q in 0..n {
+                    c.h(q);
+                }
             }
+            1 => {
+                for q in 0..n {
+                    c.h(q);
+                }
+                for q in 1..n {
+                    c.rzz(q - 1, q, rng.uniform_range(-3.5, 3.5));
+                }
+                c.t(rng.index(n));
+                let a = param(rng);
+                let gate = [Gate::RZ(a), Gate::RY(a)][rng.index(2)].clone();
+                c.push(gate, vec![], vec![rng.index(n)]);
+            }
+            2 => {
+                let a = param(rng);
+                c.ry(rng.index(n), a);
+            }
+            _ => {}
         }
         let angle = |rng: &mut qmldb_math::Rng64| {
-            if rng.chance(0.25) {
+            if shape == 3 || rng.chance(0.25) {
                 Angle::Const(rng.uniform_range(-3.5, 3.5))
             } else {
-                Angle::Param {
-                    idx: rng.index(3),
-                    mult: [1.0, -1.0, rng.uniform_range(-2.0, 2.0)][rng.index(3)],
-                    offset: [0.0, rng.uniform_range(-1.0, 1.0)][rng.index(2)],
-                }
+                param(rng)
             }
         };
         for _ in 0..4 * n + 6 {

@@ -402,7 +402,17 @@ impl CompiledCircuit {
             }
         }
         flush(&mut ops, &terms, &mut run_start);
+        CompiledCircuit::from_ops(n, circuit.n_params(), ops, terms, circuit.instrs().len())
+    }
 
+    /// Assembles a compiled circuit from its ops, sizing the run scratch.
+    fn from_ops(
+        n_qubits: usize,
+        n_params: usize,
+        ops: Vec<Op>,
+        terms: Vec<DiagTerm>,
+        n_source_instrs: usize,
+    ) -> Self {
         let max_run = ops
             .iter()
             .map(|op| match op {
@@ -420,14 +430,46 @@ impl CompiledCircuit {
             .max()
             .unwrap_or(0);
         CompiledCircuit {
-            n_qubits: n,
-            n_params: circuit.n_params(),
+            n_qubits,
+            n_params,
             ops,
             terms,
             max_run,
             max_kq_dim,
-            n_source_instrs: circuit.instrs().len(),
+            n_source_instrs,
         }
+    }
+
+    /// Splits off the constant prefix: every leading op that reads no
+    /// parameter, up to the first parameterized rotation or diagonal run
+    /// holding a parameterized term. Returns `(prefix, rest)`.
+    ///
+    /// Ops run strictly in sequence, so running `prefix` and then `rest`
+    /// on a state performs exactly the ops [`run`](Self::run) would, in
+    /// the same order, and leaves the same bits. A diagonal run is never
+    /// cut: its terms share one amplitude pass, and the run goes to
+    /// `rest` whole if any term reads a parameter. The prefix declares no
+    /// parameters, so it runs with an empty slice; `rest` keeps the
+    /// source circuit's count.
+    pub fn split_constant_prefix(mut self) -> (CompiledCircuit, CompiledCircuit) {
+        let terms = &self.terms;
+        let reads_params = |op: &Op| match op {
+            Op::Rot1q { .. } | Op::Rot2q { .. } => true,
+            Op::Diag { start, end } => terms[*start..*end]
+                .iter()
+                .any(|t| !matches!(t.kind, DiagKind::Const { .. })),
+            _ => false,
+        };
+        let cut = self
+            .ops
+            .iter()
+            .position(reads_params)
+            .unwrap_or(self.ops.len());
+        let rest = self.ops.split_off(cut);
+        let (n, n_params, n_source) = (self.n_qubits, self.n_params, self.n_source_instrs);
+        let prefix = CompiledCircuit::from_ops(n, 0, self.ops, self.terms.clone(), n_source);
+        let rest = CompiledCircuit::from_ops(n, n_params, rest, self.terms, n_source);
+        (prefix, rest)
     }
 
     /// Number of qubits.
@@ -1512,6 +1554,36 @@ pub(crate) mod tests {
         assert!(cc.ops.iter().all(|op| matches!(op, Op::Flip { .. })));
         let s = cc.execute(&[]);
         assert!((s.probabilities()[0b111] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn constant_prefix_stops_at_the_first_op_that_reads_a_parameter() {
+        // H and CX read nothing; the const RZ on qubit 1 joins one
+        // diagonal run with the parameterized RZ on qubit 0, so the whole
+        // run stays in the rest.
+        let mut c = Circuit::new(2);
+        let p = c.new_param();
+        c.h(0).cx(0, 1).rz(1, 0.4).rz(0, p).h(0);
+        let cc = c.compile();
+        assert_eq!(cc.n_ops(), 4, "ops: {:?}", cc.ops);
+        let (prefix, rest) = cc.clone().split_constant_prefix();
+        assert_eq!((prefix.n_ops(), rest.n_ops()), (2, 2));
+        assert_eq!((prefix.n_params(), rest.n_params()), (0, 1));
+        let mut s = prefix.execute(&[]);
+        rest.run(&mut s, &[0.9]);
+        assert_eq!(s, cc.execute(&[0.9]));
+
+        // A parameterized first op leaves an empty prefix; a circuit that
+        // reads no parameter is all prefix.
+        let mut c = Circuit::new(1);
+        let p = c.new_param();
+        c.ry(0, p).h(0);
+        let (prefix, rest) = c.compile().split_constant_prefix();
+        assert_eq!((prefix.n_ops(), rest.n_ops()), (0, 2));
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        let (prefix, rest) = c.compile().split_constant_prefix();
+        assert_eq!((prefix.n_ops(), rest.n_ops()), (2, 0));
     }
 
     #[test]

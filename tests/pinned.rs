@@ -28,8 +28,11 @@ use qmldb::math::json::Json;
 use qmldb::math::{Rng64, C64};
 use qmldb::qml::ansatz::hardware_efficient;
 use qmldb::qml::qaoa::maxcut_hamiltonian;
+use qmldb::qml::vqc::GradMethod;
 use qmldb::qml::vqe::transverse_field_ising;
-use qmldb::qml::{Entanglement, FeatureMap, GradientEngine, Qaoa, QuantumKernel, Vqe};
+use qmldb::qml::{
+    Entanglement, FeatureMap, GradientEngine, Qaoa, QuantumKernel, Vqc, VqcConfig, Vqe,
+};
 use qmldb::serve::wire::{reply_json, stats_json};
 use qmldb::serve::{Request, Service, ServiceConfig, WorkloadSpec};
 use qmldb::sim::{AdjointGradient, Angle, Circuit, Gate, PauliString, PauliSum, Simulator};
@@ -936,4 +939,70 @@ fn quantum_kernel_gram() {
         h.f64s(row);
     }
     pin("quantum_kernel_gram", h.0, 0xcc63_86d2_cb3e_4af5);
+}
+
+/// A seeded VQC training run: the loss history, the trained parameters
+/// and the caller's stream afterwards.
+fn vqc_train_print(cfg: VqcConfig, samples: usize, seed: u64) -> u64 {
+    let mut rng = Rng64::new(seed);
+    let dim = cfg.n_qubits;
+    let x: Vec<Vec<f64>> = (0..samples)
+        .map(|_| (0..dim).map(|_| rng.uniform_range(0.0, 3.0)).collect())
+        .collect();
+    let y: Vec<f64> = x
+        .iter()
+        .map(|xi| {
+            if xi[0] + 0.5 * xi[1] >= 2.2 {
+                1.0
+            } else {
+                -1.0
+            }
+        })
+        .collect();
+    let model = Vqc::train(cfg, &x, &y, &mut rng);
+    let mut h = Print::new();
+    h.f64s(&model.loss_history).f64s(model.params());
+    h.u64(rng.next_u64());
+    h.0
+}
+
+#[test]
+fn vqc_reupload_training() {
+    // Re-uploading puts a constant encoding layer between every pair of
+    // parameterized layers: only the first encoding runs before any
+    // parameter is read.
+    let cfg = VqcConfig {
+        n_qubits: 5,
+        layers: 2,
+        feature_map: FeatureMap::Angle,
+        epochs: 12,
+        lr: 0.1,
+        grad: GradMethod::ParameterShift,
+        reupload: true,
+    };
+    pin(
+        "vqc_reupload_training",
+        vqc_train_print(cfg, 12, 160),
+        0x8320_404a_7232_ff64,
+    );
+}
+
+#[test]
+fn vqc_spsa_training() {
+    // SPSA evaluates every sample's compiled circuit through `par::map`
+    // twice per step.
+    let cfg = VqcConfig {
+        n_qubits: 4,
+        layers: 2,
+        feature_map: FeatureMap::Angle,
+        epochs: 20,
+        lr: 0.1,
+        grad: GradMethod::Spsa,
+        reupload: false,
+    };
+    pin(
+        "vqc_spsa_training",
+        vqc_train_print(cfg, 16, 161),
+        0xfaca_e46c_00d6_2073,
+    );
 }
